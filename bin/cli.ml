@@ -145,8 +145,8 @@ let faults_conv =
 let faults =
   Arg.(value & opt (some faults_conv) None & info [ "faults" ] ~docv:"SPEC"
          ~doc:"Inject a deterministic fault scenario: comma-separated \
-               events, each link:SRC-DST\\@SLOTS (link outage), dc:N\\@SLOTS \
-               (datacenter outage) or degrade:SRC-DST\\@SLOTS:FACTOR \
+               events, each link:SRC-DST@SLOTS (link outage), dc:N@SLOTS \
+               (datacenter outage) or degrade:SRC-DST@SLOTS:FACTOR \
                (capacity degradation), with SLOTS a slot (4) or inclusive \
                range (2..6). Example: \
-               'link:0-1\\@3..5,dc:2\\@4,degrade:1-3\\@2..6:0.5'.")
+               'link:0-1@3..5,dc:2@4,degrade:1-3@2..6:0.5'.")

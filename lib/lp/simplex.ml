@@ -42,6 +42,12 @@ type state = {
   status : vstat array;
   basis : int array;  (* m: variable basic at each row position *)
   x : float array;  (* nall *)
+  (* Per-pivot vectors, allocated once per solve: the FTRAN'd entering
+     column (m), row r of the basis inverse (m) and the pivot row over
+     every column (nall). *)
+  alpha : float array;
+  rho : float array;
+  beta : float array;
   mutable lu : Lu.t;
   (* Eta file in application (oldest-first) order: FTRAN walks it forward,
      BTRAN backward. A growable array keeps the hot loops allocation-free
@@ -74,10 +80,16 @@ let iter_column st j f =
   else f (j - st.tot) st.art_sign.(j - st.tot)
 
 (* Dot product of column [j] with a dense vector, avoiding closure
-   dispatch on the solver's hottest path. *)
+   dispatch. *)
 let dot_column st j v =
   if j < st.tot then Csc.dot_col st.sf.Standard_form.a j v
   else st.art_sign.(j - st.tot) *. v.(j - st.tot)
+
+(* [v] := column [j] of the working matrix. *)
+let load_column st j v =
+  Array.fill v 0 st.m 0.;
+  if j < st.tot then Csc.scatter_col st.sf.Standard_form.a j v
+  else v.(j - st.tot) <- st.art_sign.(j - st.tot)
 
 (* Profiling probes on the solver kernels fire per call, so they use the
    raw begin/end pair (one atomic load each when [--spans] is off) rather
@@ -97,6 +109,26 @@ let btran st v =
   done;
   Lu.solve_transpose st.lu v;
   Obs.Span.end_ sp
+
+(* Row [r] of the basis inverse: [st.rho] := B^-T e_r. *)
+let btran_unit st r =
+  Array.fill st.rho 0 st.m 0.;
+  st.rho.(r) <- 1.;
+  btran st st.rho
+
+(* The pivot row [st.beta.(j)] := rho . A_j for every column j of
+   [A | artificials], from [st.rho]. The row-wise copy of A scatters each
+   nonzero rho_i in ascending row order. For every column these are the
+   nonzero terms of [dot_column], added in the same order: the terms
+   skipped are products with an exact zero, so each entry is bit-identical
+   to the per-column dot product. *)
+let pivot_row st =
+  let rho = st.rho and beta = st.beta in
+  Array.fill beta 0 st.tot 0.;
+  Csc.matvec_add st.sf.Standard_form.rows rho beta;
+  for i = 0 to st.m - 1 do
+    beta.(st.tot + i) <- st.art_sign.(i) *. rho.(i)
+  done
 
 let push_eta st e =
   let cap = Array.length st.etas in
@@ -236,18 +268,17 @@ let price st =
 let pivot_update st ~enter ~r ~alpha_r =
   let gamma_q = st.devex.(enter) in
   let d_q = st.d.(enter) in
-  let rho = Array.make st.m 0. in
-  rho.(r) <- 1.;
-  btran st rho;
+  btran_unit st r;
+  pivot_row st;
   let step = d_q /. alpha_r in
-  let ratio2 b = (b /. alpha_r) *. (b /. alpha_r) in
   let too_big = ref false in
   for j = 0 to st.nall - 1 do
     if st.status.(j) <> Basic && j <> enter then begin
-      let beta = dot_column st j rho in
+      let beta = st.beta.(j) in
       if beta <> 0. then begin
         st.d.(j) <- st.d.(j) -. (step *. beta);
-        let candidate = ratio2 beta *. gamma_q in
+        let ratio = beta /. alpha_r in
+        let candidate = ratio *. ratio *. gamma_q in
         if candidate > st.devex.(j) then st.devex.(j) <- candidate;
         if st.devex.(j) > 1e8 then too_big := true
       end
@@ -304,6 +335,23 @@ type ratio_result =
   | Bound_flip of float
   | Ratio_unbounded
 
+(* Exact limit that basic row [i] puts on a step in direction [dir];
+   infinity when none. Inlined, so its float result is never boxed. *)
+let[@inline] row_limit st ~alpha ~dir ~piv_tol ~slack i =
+  let delta = dir *. alpha.(i) in
+  let bvar = st.basis.(i) in
+  if delta > piv_tol then begin
+    let l = st.lb.(bvar) in
+    if l > neg_infinity then (st.x.(bvar) -. l +. slack) /. delta
+    else infinity
+  end
+  else if delta < -.piv_tol then begin
+    let u = st.ub.(bvar) in
+    if u < infinity then (u -. st.x.(bvar) +. slack) /. (-.delta)
+    else infinity
+  end
+  else infinity
+
 (* Two-pass ratio test. [dir] is +1. when the entering variable increases,
    -1. when it decreases; [alpha] is the FTRAN'd entering column. *)
 let ratio_scan st ~alpha ~dir ~enter =
@@ -314,26 +362,10 @@ let ratio_scan st ~alpha ~dir ~enter =
       st.ub.(enter) -. st.lb.(enter)
     else infinity
   in
-  (* Exact limit imposed by basic row [i]; infinity when none. *)
-  let limit ~slack i =
-    let delta = dir *. alpha.(i) in
-    let bvar = st.basis.(i) in
-    if delta > piv_tol then begin
-      let l = st.lb.(bvar) in
-      if l > neg_infinity then (st.x.(bvar) -. l +. slack) /. delta
-      else infinity
-    end
-    else if delta < -.piv_tol then begin
-      let u = st.ub.(bvar) in
-      if u < infinity then (u -. st.x.(bvar) +. slack) /. (-.delta)
-      else infinity
-    end
-    else infinity
-  in
   (* Pass 1: relaxed maximum step. *)
   let t_max = ref t_bound in
   for i = 0 to st.m - 1 do
-    let l = limit ~slack:feas i in
+    let l = row_limit st ~alpha ~dir ~piv_tol ~slack:feas i in
     if l < !t_max then t_max := l
   done;
   if !t_max = infinity then Ratio_unbounded
@@ -343,7 +375,7 @@ let ratio_scan st ~alpha ~dir ~enter =
        mode, prefer the smallest basic variable index among exact minima. *)
     let choice = ref (-1) and choice_limit = ref infinity and choice_abs = ref 0. in
     for i = 0 to st.m - 1 do
-      let l = limit ~slack:0. i in
+      let l = row_limit st ~alpha ~dir ~piv_tol ~slack:0. i in
       if l <= !t_max then begin
         let a = abs_float alpha.(i) in
         let better =
@@ -451,8 +483,8 @@ let run_phase st =
            else raise Exit
        | Entering (enter, d) ->
            st.iterations <- st.iterations + 1;
-           let alpha = Array.make st.m 0. in
-           iter_column st enter (fun i v -> alpha.(i) <- alpha.(i) +. v);
+           let alpha = st.alpha in
+           load_column st enter alpha;
            ftran st alpha;
            let dir =
              match st.status.(enter) with
@@ -572,6 +604,9 @@ let initialize ?params:(p = default_params) sf =
     devex = Array.make nall 1.;
     d = Array.make nall 0.;
     status; basis; x;
+    alpha = Array.make m 0.;
+    rho = Array.make m 0.;
+    beta = Array.make nall 0.;
     lu = lu0;
     etas = [||];
     n_etas = 0;
@@ -992,7 +1027,7 @@ let run_dual st =
   let piv_tol = st.p.pivot_tolerance in
   let dtol = st.p.dual_tolerance in
   let dw = Array.make st.m 1. in
-  let beta = Array.make st.nall 0. in
+  let beta = st.beta in
   let stall = ref 0 in
   let result = ref Dual_optimal in
   (try
@@ -1036,21 +1071,19 @@ let run_dual st =
           breaking any reduced-cost sign. *)
        let s = if above then 1. else -1. in
        (* Pivot row r of the tableau: rho = B^-T e_r, beta_j = rho . A_j —
-          the same quantity the primal [pivot_update] computes, kept here
-          because both the ratio test and the reduced-cost update need
-          it. *)
-       let rho = Array.make st.m 0. in
-       rho.(r) <- 1.;
-       btran st rho;
+          the same quantity the primal [pivot_update] computes, kept in
+          [beta] because both the ratio test and the reduced-cost update
+          need it. Only the columns the ratio test considers keep their
+          entry; the rest read zero. *)
+       btran_unit st r;
        (* Pass 1 (Harris-style): relaxed bound on the dual step, letting
           each reduced cost overshoot by the dual tolerance. *)
        let ratio_sp = Obs.Span.begin_ "lp.ratio_test" in
+       pivot_row st;
        let theta_max = ref infinity in
        for j = 0 to st.nall - 1 do
-         beta.(j) <- 0.;
          if st.status.(j) <> Basic && st.lb.(j) < st.ub.(j) then begin
-           let b = dot_column st j rho in
-           beta.(j) <- b;
+           let b = beta.(j) in
            let a = s *. b in
            match st.status.(j) with
            | At_lower ->
@@ -1070,6 +1103,7 @@ let run_dual st =
                end
            | Basic -> ()
          end
+         else beta.(j) <- 0.
        done;
        if !theta_max = infinity then begin
          Obs.Span.end_ ratio_sp;
@@ -1113,8 +1147,8 @@ let run_dual st =
        st.dual_pivots <- st.dual_pivots + 1;
        (* Entering column through the basis inverse: needed for the eta
           update, the primal step and the row-weight update. *)
-       let alpha = Array.make st.m 0. in
-       iter_column st enter (fun i v -> alpha.(i) <- alpha.(i) +. v);
+       let alpha = st.alpha in
+       load_column st enter alpha;
        ftran st alpha;
        let alpha_r = alpha.(r) in
        if abs_float alpha_r <= piv_tol then raise Numerical_failure;

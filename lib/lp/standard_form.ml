@@ -1,5 +1,6 @@
 type t = {
   a : Sparselin.Csc.t;
+  rows : Sparselin.Csc.t;
   b : float array;
   cost : float array;
   lb : float array;
@@ -46,7 +47,9 @@ let of_model model =
       | Model.Eq ->
           lb.(slack) <- 0.;
           ub.(slack) <- 0.);
-  { a = Sparselin.Csc.finalize builder;
+  let a = Sparselin.Csc.finalize builder in
+  { a;
+    rows = Sparselin.Csc.transpose a;
     b; cost; lb; ub;
     n_struct = n;
     n_rows = m;

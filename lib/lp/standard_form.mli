@@ -11,6 +11,9 @@
 
 type t = {
   a : Sparselin.Csc.t;  (** m x (n_struct + m). *)
+  rows : Sparselin.Csc.t;
+      (** [Csc.transpose a]: column [i] is row [i] of [a], which lets the
+          simplex form a pivot row from the nonzeros of B^-T e_r alone. *)
   b : float array;
   cost : float array;
   lb : float array;

@@ -559,6 +559,9 @@ let scale_to_json s =
   Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" s.sc_seed);
   Buffer.add_string b
     (Printf.sprintf "  \"budget_ms\": %s,\n" (json_float s.sc_budget_ms));
+  Buffer.add_string b
+    (Printf.sprintf "  \"host_cores\": %d,\n"
+       (Domain.recommended_domain_count ()));
   Buffer.add_string b "  \"points\": [\n";
   let n = List.length s.sc_points in
   List.iteri

@@ -127,6 +127,30 @@ let scatter_col m j v =
     Array.unsafe_set v r (Array.unsafe_get v r +. m.values.(k))
   done
 
+let transpose m =
+  let nnz = nnz m in
+  let colptr = Array.make (m.nrows + 1) 0 in
+  for k = 0 to nnz - 1 do
+    let r = m.rowind.(k) in
+    colptr.(r + 1) <- colptr.(r + 1) + 1
+  done;
+  for i = 1 to m.nrows do
+    colptr.(i) <- colptr.(i) + colptr.(i - 1)
+  done;
+  let fill = Array.sub colptr 0 m.nrows in
+  let rowind = Array.make nnz 0 and values = Array.make nnz 0. in
+  (* Visiting the columns in order leaves every output column sorted. *)
+  for j = 0 to m.ncols - 1 do
+    for k = m.colptr.(j) to m.colptr.(j + 1) - 1 do
+      let r = m.rowind.(k) in
+      let p = fill.(r) in
+      rowind.(p) <- j;
+      values.(p) <- m.values.(k);
+      fill.(r) <- p + 1
+    done
+  done;
+  { nrows = m.ncols; ncols = m.nrows; colptr; rowind; values }
+
 let column m j =
   if j < 0 || j >= m.ncols then invalid_arg "Csc.column: col out of range";
   Array.init (col_nnz m j) (fun k ->
@@ -150,16 +174,22 @@ let get m i j =
   done;
   !found
 
-let matvec m x =
-  if Array.length x <> m.ncols then invalid_arg "Csc.matvec: size mismatch";
-  let y = Array.make m.nrows 0. in
+let matvec_add m x y =
+  if Array.length x <> m.ncols || Array.length y < m.nrows then
+    invalid_arg "Csc.matvec_add: size mismatch";
   for j = 0 to m.ncols - 1 do
     let xj = x.(j) in
     if xj <> 0. then
       for k = m.colptr.(j) to m.colptr.(j + 1) - 1 do
-        y.(m.rowind.(k)) <- y.(m.rowind.(k)) +. (m.values.(k) *. xj)
+        let r = m.rowind.(k) in
+        Array.unsafe_set y r (Array.unsafe_get y r +. (m.values.(k) *. xj))
       done
-  done;
+  done
+
+let matvec m x =
+  if Array.length x <> m.ncols then invalid_arg "Csc.matvec: size mismatch";
+  let y = Array.make m.nrows 0. in
+  matvec_add m x y;
   y
 
 let matvec_t m y =

@@ -38,6 +38,11 @@ val dot_col : t -> int -> float array -> float
 val scatter_col : t -> int -> float array -> unit
 (** [scatter_col m j v] adds column [j] into the dense vector [v]. *)
 
+val transpose : t -> t
+(** [transpose m] is the [ncols m] x [nrows m] transpose: column [i] of the
+    result is row [i] of [m], with its entries in ascending column order
+    and its values copied exactly. O(nnz + nrows + ncols). *)
+
 val col_nnz : t -> int -> int
 
 val get : t -> int -> int -> float
@@ -46,6 +51,14 @@ val get : t -> int -> int -> float
 
 val matvec : t -> float array -> float array
 (** [matvec m x] is the dense product [m * x]. *)
+
+val matvec_add : t -> float array -> float array -> unit
+(** [matvec_add m x y] adds [m * x] into the first [nrows m] entries of
+    [y]. Columns are scattered in ascending order and those with
+    [x.(j) = 0.] are skipped, so each [y.(i)] gains the products
+    [m(i,j) * x.(j)] over the nonzero [x.(j)] in ascending [j]. Allocates
+    nothing. Raises [Invalid_argument] unless [x] has [ncols m] entries
+    and [y] at least [nrows m]. *)
 
 val matvec_t : t -> float array -> float array
 (** [matvec_t m y] is the dense product [transpose m * y]. *)

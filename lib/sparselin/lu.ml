@@ -1,11 +1,63 @@
+(* One triangular factor in flat column storage. Column [k] holds entries
+   [ptr.(k) .. ptr.(k + 1) - 1], each an index [idx.(e)] and a value
+   [value.(e)]. The transposed pattern is threaded through the same
+   entries: [head.(i)] is the last entry whose index is [i] (-1 if none),
+   [next.(e)] the entry before [e] with the same index, and [col.(e)] the
+   column that holds [e]. The entry arrays double while the elimination
+   appends columns; the factor is read-only once built. *)
+type factor = {
+  ptr : int array;
+  mutable idx : int array;
+  mutable value : float array;
+  mutable col : int array;
+  mutable next : int array;
+  head : int array;
+  mutable len : int;
+}
+
+let factor_create ~cols ~heads ~cap =
+  let cap = max 16 cap in
+  { ptr = Array.make (cols + 1) 0;
+    idx = Array.make cap 0;
+    value = Array.make cap 0.;
+    col = Array.make cap 0;
+    next = Array.make cap 0;
+    head = Array.make heads (-1);
+    len = 0 }
+
+let grow fc =
+  let cap = 2 * Array.length fc.idx in
+  let extend a fill =
+    let a' = Array.make cap fill in
+    Array.blit a 0 a' 0 fc.len;
+    a'
+  in
+  fc.idx <- extend fc.idx 0;
+  fc.value <- extend fc.value 0.;
+  fc.col <- extend fc.col 0;
+  fc.next <- extend fc.next 0
+
+(* Append entry (i, v) to column [k], the column under construction. *)
+let[@inline] push fc k i v =
+  if fc.len = Array.length fc.idx then grow fc;
+  let e = fc.len in
+  fc.idx.(e) <- i;
+  fc.value.(e) <- v;
+  fc.col.(e) <- k;
+  fc.next.(e) <- fc.head.(i);
+  fc.head.(i) <- e;
+  fc.len <- e + 1
+
+let close fc k = fc.ptr.(k + 1) <- fc.len
+
 type t = {
   n : int;
-  (* L: one column per elimination step; entries are (original_row, value)
-     with the unit diagonal implicit. *)
-  l_cols : (int * float) array array;
-  (* U: one column per elimination step; entries are (pivot_step, value) for
-     rows already pivoted, strictly above the diagonal. *)
-  u_cols : (int * float) array array;
+  (* L, unit diagonal implicit: entry indices are original rows, so the
+     transposed lists are headed by original row. *)
+  l : factor;
+  (* U strictly above the diagonal: entry indices are pivot steps, all
+     earlier than the column's own step; lists are headed by step. *)
+  u : factor;
   u_diag : float array;
   (* pivot_row.(k) = original row chosen as pivot at step k;
      pinv.(r) = step at which original row r was pivoted. *)
@@ -15,17 +67,17 @@ type t = {
   q : int array;
   (* Nonzeros of the input matrix, for fill-in accounting. *)
   input_nnz : int;
+  (* Solve scratch owned by the factor: a step-space work vector and the
+     BTRAN visit marks, all false between calls. *)
+  work : float array;
+  mark : bool array;
 }
 
 type error = Singular of int
 
 let dim f = f.n
 
-let nnz f =
-  let count cols =
-    Array.fold_left (fun acc c -> acc + Array.length c) 0 cols
-  in
-  count f.l_cols + count f.u_cols + f.n
+let nnz f = f.l.len + f.u.len + f.n
 
 let input_nnz f = f.input_nnz
 
@@ -34,76 +86,120 @@ let fill_in f = max 0 (nnz f - f.input_nnz)
 let min_abs_diag f =
   Array.fold_left (fun acc d -> min acc (abs_float d)) infinity f.u_diag
 
+let permutations f = (Array.copy f.pivot_row, Array.copy f.q)
+
+(* Scratch of one left-looking elimination: the L columns computed so far,
+   the row-to-step map, the dense accumulator, visit flags, the reach's
+   output stack, and its DFS path with the next entry to scan per level. *)
+type elim = {
+  el : factor;
+  pinv : int array;
+  x : float array;
+  visited : bool array;
+  stack : int array;
+  dfs : int array;
+  pos : int array;
+}
+
+let elim_create ~dim:n l =
+  { el = l;
+    pinv = Array.make n (-1);
+    x = Array.make n 0.;
+    visited = Array.make n false;
+    stack = Array.make n 0;
+    dfs = Array.make n 0;
+    pos = Array.make n 0 }
+
+(* First L entry to scan below [node]: none (an empty range) while the row
+   is unpivoted. *)
+let[@inline] first_child e node =
+  let step = e.pinv.(node) in
+  if step >= 0 then e.el.ptr.(step) else 0
+
 (* Depth-first search computing the topological order of the rows reachable
    from [start] through already-computed L columns. Rows are pushed onto
-   [stack] in reverse topological order. Uses an explicit stack to avoid
-   overflowing the OCaml call stack on long elimination chains. *)
-let reach ~pinv ~l_cols ~visited ~stack ~top start =
-  let dfs_stack = ref [ (start, 0) ] in
-  while !dfs_stack <> [] do
-    match !dfs_stack with
-    | [] -> ()
-    | (node, child) :: rest ->
-        if child = 0 then visited.(node) <- true;
-        let step = pinv.(node) in
-        let children = if step >= 0 then l_cols.(step) else [||] in
-        if child < Array.length children then begin
-          dfs_stack := (node, child + 1) :: rest;
-          let next, _ = children.(child) in
-          if not visited.(next) then dfs_stack := (next, 0) :: !dfs_stack
-        end
-        else begin
-          dfs_stack := rest;
-          stack.(!top) <- node;
-          incr top
-        end
+   [e.stack] in reverse topological order; children are scanned in entry
+   order. The DFS path lives in int arrays, so long elimination chains
+   cannot overflow the call stack. *)
+let reach e ~top start =
+  let l = e.el in
+  let h = ref 0 in
+  e.visited.(start) <- true;
+  e.dfs.(0) <- start;
+  e.pos.(0) <- first_child e start;
+  while !h >= 0 do
+    let node = e.dfs.(!h) in
+    let step = e.pinv.(node) in
+    let p = e.pos.(!h) in
+    if step >= 0 && p < l.ptr.(step + 1) then begin
+      e.pos.(!h) <- p + 1;
+      let child = l.idx.(p) in
+      if not e.visited.(child) then begin
+        e.visited.(child) <- true;
+        incr h;
+        e.dfs.(!h) <- child;
+        e.pos.(!h) <- first_child e child
+      end
+    end
+    else begin
+      decr h;
+      e.stack.(!top) <- node;
+      incr top
+    end
   done
 
-let default_col_order ~dim iter_col =
-  let order = Array.init dim (fun j -> j) in
-  let counts = Array.make dim 0 in
-  for j = 0 to dim - 1 do
-    let c = ref 0 in
-    iter_col j (fun _ _ -> incr c);
-    counts.(j) <- !c
+(* Default column order: ascending nonzero count, ties by column index — a
+   cheap fill-reducing heuristic that suits near-triangular simplex bases.
+   Counts are at most [dim], so a stable counting sort gives the order in
+   O(dim) instead of a comparison sort's O(dim log dim). *)
+let order_by_count ~dim col_counts =
+  let maxc = Array.fold_left max 0 col_counts in
+  let start = Array.make (maxc + 2) 0 in
+  Array.iter (fun c -> start.(c + 1) <- start.(c + 1) + 1) col_counts;
+  for c = 1 to maxc + 1 do
+    start.(c) <- start.(c) + start.(c - 1)
   done;
-  Array.sort
-    (fun a b ->
-      let c = compare counts.(a) counts.(b) in
-      if c <> 0 then c else compare a b)
-    order;
+  let order = Array.make dim 0 in
+  for j = 0 to dim - 1 do
+    let c = col_counts.(j) in
+    order.(start.(c)) <- j;
+    start.(c) <- start.(c) + 1
+  done;
   order
 
 (* Shared per-column front end of the elimination: scatter column [j] into
-   the dense accumulator [x] while collecting (in [stack], via [reach]) the
-   topological order of its fill pattern, then run the sparse triangular
-   solve against the L columns computed so far. Returns the pattern size. *)
-let eliminate_column ~iter_col ~pinv ~l_cols ~visited ~stack ~x j =
+   the dense accumulator [e.x] while collecting (in [e.stack], via [reach])
+   the topological order of its fill pattern, then run the sparse
+   triangular solve against the L columns computed so far. Returns the
+   pattern size. *)
+let eliminate_column e ~iter_col j =
+  let l = e.el and x = e.x in
   let top = ref 0 in
   iter_col j (fun r v ->
-      if not visited.(r) then reach ~pinv ~l_cols ~visited ~stack ~top r;
+      if not e.visited.(r) then reach e ~top r;
       x.(r) <- x.(r) +. v);
   for s = !top - 1 downto 0 do
-    let node = stack.(s) in
-    let step = pinv.(node) in
+    let node = e.stack.(s) in
+    let step = e.pinv.(node) in
     if step >= 0 then begin
       let xj = x.(node) in
       if xj <> 0. then
-        Array.iter
-          (fun (r, lv) -> x.(r) <- x.(r) -. (lv *. xj))
-          l_cols.(step)
+        for p = l.ptr.(step) to l.ptr.(step + 1) - 1 do
+          let r = l.idx.(p) in
+          x.(r) <- x.(r) -. (l.value.(p) *. xj)
+        done
     end
   done;
   !top
 
 (* Partial pivoting among not-yet-pivoted rows of the pattern. Returns the
    chosen row, or -1 when no entry exceeds [threshold]. *)
-let select_pivot ~pinv ~stack ~x ~top ~threshold =
+let select_pivot e ~top ~threshold =
   let best = ref (-1) and best_abs = ref threshold in
   for s = 0 to top - 1 do
-    let r = stack.(s) in
-    if pinv.(r) < 0 then begin
-      let a = abs_float x.(r) in
+    let r = e.stack.(s) in
+    if e.pinv.(r) < 0 then begin
+      let a = abs_float e.x.(r) in
       if a > !best_abs then begin
         best_abs := a;
         best := r
@@ -121,12 +217,12 @@ let select_pivot ~pinv ~stack ~x ~top ~threshold =
    [threshold], exactly like {!select_pivot}. *)
 let markowitz_rel = 0.1
 
-let select_pivot_markowitz ~pinv ~stack ~x ~top ~threshold ~row_counts =
+let select_pivot_markowitz e ~top ~threshold ~row_counts =
   let max_abs = ref 0. in
   for s = 0 to top - 1 do
-    let r = stack.(s) in
-    if pinv.(r) < 0 then begin
-      let a = abs_float x.(r) in
+    let r = e.stack.(s) in
+    if e.pinv.(r) < 0 then begin
+      let a = abs_float e.x.(r) in
       if a > !max_abs then max_abs := a
     end
   done;
@@ -135,9 +231,9 @@ let select_pivot_markowitz ~pinv ~stack ~x ~top ~threshold ~row_counts =
     let accept = max threshold (markowitz_rel *. !max_abs) in
     let best = ref (-1) and best_count = ref max_int and best_abs = ref 0. in
     for s = 0 to top - 1 do
-      let r = stack.(s) in
-      if pinv.(r) < 0 then begin
-        let a = abs_float x.(r) in
+      let r = e.stack.(s) in
+      if e.pinv.(r) < 0 then begin
+        let a = abs_float e.x.(r) in
         if a >= accept then begin
           let c = row_counts.(r) in
           let better =
@@ -156,11 +252,32 @@ let select_pivot_markowitz ~pinv ~stack ~x ~top ~threshold ~row_counts =
     !best
   end
 
-let clear_pattern ~visited ~stack ~x ~top =
-  for s = 0 to top - 1 do
-    let r = stack.(s) in
+(* Store column [k] of the factors from the accumulated pattern and clear
+   the scratch: pivoted rows go to U (under their step), the others except
+   the pivot row [piv] to L scaled by [1 / d]. Entries are stored in
+   reverse pattern order, the order BTRAN's dot products sum them in.
+   Pass [u = None] to keep L only. *)
+let gather e ~u ~k ~top ~piv ~d =
+  let x = e.x in
+  for s = top - 1 downto 0 do
+    let r = e.stack.(s) in
+    let v = x.(r) in
+    if v <> 0. then begin
+      let step = e.pinv.(r) in
+      if step >= 0 then (match u with Some u -> push u k step v | None -> ())
+      else if r <> piv then push e.el k r (v /. d)
+    end;
     x.(r) <- 0.;
-    visited.(r) <- false
+    e.visited.(r) <- false
+  done;
+  close e.el k;
+  match u with Some u -> close u k | None -> ()
+
+let clear_pattern e ~top =
+  for s = 0 to top - 1 do
+    let r = e.stack.(s) in
+    e.x.(r) <- 0.;
+    e.visited.(r) <- false
   done
 
 (* Per-factorization telemetry: dimension, stored nonzeros and fill-in of
@@ -186,73 +303,60 @@ let record_factorization f =
 
 let factorize_iter ?col_order ~dim:n iter_col =
   let sp = Obs.Span.begin_ "lu.factorize" in
+  (* Static row nonzero counts of the input matrix (the Markowitz fill-in
+     proxy used by the pivot selection below) and column counts (the
+     default column order), in one O(nnz) pass. *)
+  let row_counts = Array.make n 0 and col_counts = Array.make n 0 in
+  let input_nnz = ref 0 in
+  let count r _ =
+    row_counts.(r) <- row_counts.(r) + 1;
+    incr input_nnz
+  in
+  for j = 0 to n - 1 do
+    let before = !input_nnz in
+    iter_col j count;
+    col_counts.(j) <- !input_nnz - before
+  done;
   let q = match col_order with
     | Some order ->
         if Array.length order <> n then
           invalid_arg "Lu.factorize: col_order length mismatch";
         order
-    | None -> default_col_order ~dim:n iter_col
+    | None -> order_by_count ~dim:n col_counts
   in
-  let l_cols = Array.make n [||] in
-  let u_cols = Array.make n [||] in
+  (* Simplex bases are near-triangular: L and U together hold about the
+     input's off-diagonal entries, so each starts with that room. *)
+  let cap = !input_nnz - n in
+  let l = factor_create ~cols:n ~heads:n ~cap in
+  let u = factor_create ~cols:n ~heads:n ~cap in
+  let e = elim_create ~dim:n l in
   let u_diag = Array.make n 0. in
   let pivot_row = Array.make n (-1) in
-  let pinv = Array.make n (-1) in
-  let x = Array.make n 0. in
-  let visited = Array.make n false in
-  let stack = Array.make n 0 in
+  let keep_u = Some u in
   let exception Singular_at of int in
-  (* Static row nonzero counts of the input matrix, the Markowitz fill-in
-     proxy used by the pivot selection below. One O(nnz) pass. *)
-  let row_counts = Array.make n 0 in
-  for j = 0 to n - 1 do
-    iter_col j (fun r _ -> row_counts.(r) <- row_counts.(r) + 1)
-  done;
-  let input_nnz = ref 0 in
-  let counted_col j f =
-    iter_col j (fun r v ->
-        incr input_nnz;
-        f r v)
-  in
   try
     for k = 0 to n - 1 do
-      let top =
-        eliminate_column ~iter_col:counted_col ~pinv ~l_cols ~visited ~stack
-          ~x q.(k)
-      in
+      let top = eliminate_column e ~iter_col q.(k) in
       let piv =
-        select_pivot_markowitz ~pinv ~stack ~x ~top ~threshold:1e-13
-          ~row_counts
+        select_pivot_markowitz e ~top ~threshold:1e-13 ~row_counts
       in
       if piv < 0 then raise (Singular_at k);
-      let d = x.(piv) in
-      (* Gather U (pivoted rows) and L (remaining rows, scaled). *)
-      let u_acc = ref [] and l_acc = ref [] in
-      for s = 0 to top - 1 do
-        let r = stack.(s) in
-        let v = x.(r) in
-        if v <> 0. then begin
-          if pinv.(r) >= 0 then u_acc := (pinv.(r), v) :: !u_acc
-          else if r <> piv then l_acc := (r, v /. d) :: !l_acc
-        end;
-        x.(r) <- 0.;
-        visited.(r) <- false
-      done;
-      u_cols.(k) <- Array.of_list !u_acc;
-      l_cols.(k) <- Array.of_list !l_acc;
+      let d = e.x.(piv) in
+      gather e ~u:keep_u ~k ~top ~piv ~d;
       u_diag.(k) <- d;
       pivot_row.(k) <- piv;
-      pinv.(piv) <- k
+      e.pinv.(piv) <- k
     done;
+    (* The accumulator and visit flags are clean again: they become the
+       solves' work vector and marks. *)
     let f =
-      { n; l_cols; u_cols; u_diag; pivot_row; pinv; q;
-        input_nnz = !input_nnz }
+      { n; l; u; u_diag; pivot_row; pinv = e.pinv; q;
+        input_nnz = !input_nnz; work = e.x; mark = e.visited }
     in
     record_factorization f;
     Obs.Span.end_ sp;
     Ok f
   with Singular_at k ->
-    (* Reset scratch state is unnecessary: arrays are local. *)
     Obs.Span.end_ sp;
     Error (Singular k)
 
@@ -269,30 +373,17 @@ let factorize ?col_order ~dim col =
    rows left unpivoted, which the caller must cover with slack/artificial
    columns. *)
 let crash_select ~dim:n ~ncols iter_col =
-  let l_cols = Array.make (min n ncols) [||] in
-  let pinv = Array.make n (-1) in
-  let x = Array.make n 0. in
-  let visited = Array.make n false in
-  let stack = Array.make n 0 in
+  let l = factor_create ~cols:(min n ncols) ~heads:n ~cap:n in
+  let e = elim_create ~dim:n l in
   let accepted = ref [] and n_accepted = ref 0 in
   let j = ref 0 in
   while !j < ncols && !n_accepted < n do
-    let top = eliminate_column ~iter_col ~pinv ~l_cols ~visited ~stack ~x !j in
-    let piv = select_pivot ~pinv ~stack ~x ~top ~threshold:1e-9 in
-    if piv < 0 then clear_pattern ~visited ~stack ~x ~top
+    let top = eliminate_column e ~iter_col !j in
+    let piv = select_pivot e ~top ~threshold:1e-9 in
+    if piv < 0 then clear_pattern e ~top
     else begin
-      let d = x.(piv) in
-      let l_acc = ref [] in
-      for s = 0 to top - 1 do
-        let r = stack.(s) in
-        let v = x.(r) in
-        if v <> 0. && pinv.(r) < 0 && r <> piv then
-          l_acc := (r, v /. d) :: !l_acc;
-        x.(r) <- 0.;
-        visited.(r) <- false
-      done;
-      l_cols.(!n_accepted) <- Array.of_list !l_acc;
-      pinv.(piv) <- !n_accepted;
+      gather e ~u:None ~k:!n_accepted ~top ~piv ~d:e.x.(piv);
+      e.pinv.(piv) <- !n_accepted;
       accepted := !j :: !accepted;
       incr n_accepted
     end;
@@ -300,7 +391,7 @@ let crash_select ~dim:n ~ncols iter_col =
   done;
   let unpivoted = ref [] in
   for r = n - 1 downto 0 do
-    if pinv.(r) < 0 then unpivoted := r :: !unpivoted
+    if e.pinv.(r) < 0 then unpivoted := r :: !unpivoted
   done;
   (Array.of_list (List.rev !accepted), Array.of_list !unpivoted)
 
@@ -308,16 +399,18 @@ let crash_select ~dim:n ~ncols iter_col =
    [b] is indexed by original rows on entry, by original columns on exit. *)
 let solve f b =
   if Array.length b <> f.n then invalid_arg "Lu.solve: size mismatch";
-  let n = f.n in
+  let n = f.n and l = f.l and u = f.u and y = f.work in
   (* Forward solve L y = P b, working directly in original row space: the
      value at pivot_row.(k) is y_k. *)
   for k = 0 to n - 1 do
     let yk = b.(f.pivot_row.(k)) in
     if yk <> 0. then
-      Array.iter (fun (r, lv) -> b.(r) <- b.(r) -. (lv *. yk)) f.l_cols.(k)
+      for p = l.ptr.(k) to l.ptr.(k + 1) - 1 do
+        let r = l.idx.(p) in
+        b.(r) <- b.(r) -. (l.value.(p) *. yk)
+      done
   done;
   (* Move into pivot-step space. *)
-  let y = Array.make n 0. in
   for k = 0 to n - 1 do
     y.(k) <- b.(f.pivot_row.(k))
   done;
@@ -326,42 +419,72 @@ let solve f b =
     let wk = y.(k) /. f.u_diag.(k) in
     y.(k) <- wk;
     if wk <> 0. then
-      Array.iter (fun (i, uv) -> y.(i) <- y.(i) -. (uv *. wk)) f.u_cols.(k)
+      for p = u.ptr.(k) to u.ptr.(k + 1) - 1 do
+        let i = u.idx.(p) in
+        y.(i) <- y.(i) -. (u.value.(p) *. wk)
+      done
   done;
-  (* Apply column permutation: x.(q.(k)) = w_k. *)
-  Array.fill b 0 n 0.;
+  (* Apply the column permutation: x.(q.(k)) = w_k covers every entry. *)
   for k = 0 to n - 1 do
     b.(f.q.(k)) <- y.(k)
   done
 
 (* BTRAN: solve B^T y = c. With B = P^T L U Q^T this is
    y = P^T (L^T \ (U^T \ Q^T c)). [c] is indexed by original columns on
-   entry, by original rows on exit. *)
+   entry, by original rows on exit.
+
+   Both triangular solves are in dot-product form, but a step is visited
+   only when its own value is nonzero or a nonzero step marked it through
+   the transposed pattern. A step left unvisited is exactly zero: its dot
+   product would sum only zero terms. Visited steps compute today's dot
+   product in entry order, so the result is that of the full sweep. *)
 let solve_transpose f c =
   if Array.length c <> f.n then invalid_arg "Lu.solve_transpose: size mismatch";
-  let n = f.n in
-  let u = Array.make n 0. in
+  let n = f.n and l = f.l and u = f.u and w = f.work and mark = f.mark in
   for k = 0 to n - 1 do
-    u.(k) <- c.(f.q.(k))
+    w.(k) <- c.(f.q.(k))
   done;
-  (* Forward solve U^T v = u: U^T is lower triangular; row k of U^T is
-     column k of U. *)
+  (* Forward solve U^T v = w: row k of U^T is column k of U, and a nonzero
+     v_k feeds the later steps whose U column has an entry at k. *)
   for k = 0 to n - 1 do
-    let acc = ref u.(k) in
-    Array.iter (fun (i, uv) -> acc := !acc -. (uv *. u.(i))) f.u_cols.(k);
-    u.(k) <- !acc /. f.u_diag.(k)
+    if mark.(k) || w.(k) <> 0. then begin
+      mark.(k) <- false;
+      let acc = ref w.(k) in
+      for p = u.ptr.(k) to u.ptr.(k + 1) - 1 do
+        acc := !acc -. (u.value.(p) *. w.(u.idx.(p)))
+      done;
+      let vk = !acc /. f.u_diag.(k) in
+      w.(k) <- vk;
+      if vk <> 0. then begin
+        let p = ref u.head.(k) in
+        while !p >= 0 do
+          mark.(u.col.(!p)) <- true;
+          p := u.next.(!p)
+        done
+      end
+    end
   done;
   (* Backward solve (P L)^T z = v: row k of (P L)^T is column k of L with
-     rows mapped through pinv. *)
+     rows mapped through pinv, and a nonzero z_k feeds the earlier steps
+     whose L column holds row pivot_row.(k). *)
   for k = n - 1 downto 0 do
-    let acc = ref u.(k) in
-    Array.iter
-      (fun (r, lv) -> acc := !acc -. (lv *. u.(f.pinv.(r))))
-      f.l_cols.(k);
-    u.(k) <- !acc
+    if mark.(k) || w.(k) <> 0. then begin
+      mark.(k) <- false;
+      let acc = ref w.(k) in
+      for p = l.ptr.(k) to l.ptr.(k + 1) - 1 do
+        acc := !acc -. (l.value.(p) *. w.(f.pinv.(l.idx.(p))))
+      done;
+      w.(k) <- !acc;
+      if !acc <> 0. then begin
+        let p = ref l.head.(f.pivot_row.(k)) in
+        while !p >= 0 do
+          mark.(l.col.(!p)) <- true;
+          p := l.next.(!p)
+        done
+      end
+    end
   done;
-  (* y = P^T z: y.(pivot_row.(k)) = z_k. *)
-  Array.fill c 0 n 0.;
+  (* y = P^T z: y.(pivot_row.(k)) = z_k covers every entry. *)
   for k = 0 to n - 1 do
-    c.(f.pivot_row.(k)) <- u.(k)
+    c.(f.pivot_row.(k)) <- w.(k)
   done

@@ -67,11 +67,24 @@ val fill_in : t -> int
 
 val solve : t -> float array -> unit
 (** [solve f b] overwrites [b] with the solution [x] of [B x = b]
-    (the simplex FTRAN). *)
+    (the simplex FTRAN). Allocates nothing: it works in a vector the
+    factor owns, so one factor must not be solved with from two domains
+    at once. *)
 
 val solve_transpose : t -> float array -> unit
 (** [solve_transpose f c] overwrites [c] with the solution [y] of
-    [transpose B y = c] (the simplex BTRAN). *)
+    [transpose B y = c] (the simplex BTRAN). Hypersparse: only the
+    elimination steps that a nonzero of [c] reaches through the factors
+    are computed, and every other entry of [y] is exactly zero. The
+    result equals a full dot-product sweep in every nonzero bit.
+    Allocates nothing; the same one-domain rule as {!solve} applies. *)
 
 val min_abs_diag : t -> float
 (** Smallest pivot magnitude; a stability diagnostic. *)
+
+val permutations : t -> int array * int array
+(** [permutations f] is [(p, q)]: elimination step [k] pivoted on row
+    [p.(k)] of column [q.(k)], so [L U] factorizes the matrix whose
+    [(k, l)] entry is [B(p.(k), q.(l))]. Fresh copies. With them, the
+    sparsity of the factors — and so of every FTRAN and BTRAN — can be
+    derived from [B]'s pattern alone by symbolic elimination. *)

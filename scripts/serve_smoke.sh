@@ -18,6 +18,19 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# The help page renders cleanly: cmdliner reports markup errors in doc
+# strings on stderr, and the --faults syntax shows its literal '@'.
+"$serve" --help=plain >"$dir/help.out" 2>"$dir/help.err"
+if [ -s "$dir/help.err" ]; then
+  echo "serve smoke: --help wrote to stderr" >&2
+  cat "$dir/help.err" >&2
+  exit 1
+fi
+if ! grep -qF 'link:SRC-DST@SLOTS' "$dir/help.out"; then
+  echo "serve smoke: --help does not show link:SRC-DST@SLOTS" >&2
+  exit 1
+fi
+
 # Wait for "listening on 127.0.0.1:PORT" in $1 while pid $2 stays alive;
 # prints the port.
 await_port() {

@@ -61,7 +61,10 @@ let test_matvec_t () =
   let m = sample () in
   Alcotest.(check (array (float 1e-12))) "A^T y"
     [| 1. +. 12.; 6.; 2. +. 15. |]
-    (Csc.matvec_t m [| 1.; 2.; 3. |])
+    (Csc.matvec_t m [| 1.; 2.; 3. |]);
+  Alcotest.(check (array (float 1e-12))) "(transpose A) y"
+    [| 1. +. 12.; 6.; 2. +. 15. |]
+    (Csc.matvec (Csc.transpose m) [| 1.; 2.; 3. |])
 
 let test_dense_roundtrip () =
   let m = sample () in

@@ -19,13 +19,20 @@ let with_pool ~domains f =
 let test_map_preserves_order () =
   with_pool ~domains:4 @@ fun pool ->
   let items = Array.init 100 (fun i -> 10 * i) in
+  (* Alcotest is not domain-safe: workers only record what they saw, and
+     the calling domain asserts on it. *)
+  let seen = Array.make (Array.length items) (-1) in
   let out =
     Pool.map pool
       ~f:(fun idx x ->
-        Alcotest.(check int) "f sees the item's index" x (10 * idx);
+        seen.(idx) <- x;
         x + 1)
       items
   in
+  Array.iteri
+    (fun idx x ->
+      Alcotest.(check int) "f sees the item's index" x (10 * idx))
+    seen;
   Alcotest.(check (array int)) "results in submission order"
     (Array.map (fun x -> x + 1) items)
     out

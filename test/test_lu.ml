@@ -136,6 +136,202 @@ let test_explicit_col_order () =
       Alcotest.(check (float 1e-10)) "row 0" 4. ax.(0);
       Alcotest.(check (float 1e-10)) "row 1" 7. ax.(1)
 
+(* ------------------------------------------------------------------ *)
+(* Hypersparse BTRAN: every unit right-hand side against a dense solve,
+   with exact zeros wherever the structure of B forces them. *)
+
+(* Structural reach of y = B^-T e_r, from B's pattern and the pivot order
+   alone. Symbolic (boolean) elimination of C(k, l) = B(p.(k), q.(l))
+   gives the patterns of L and U, fill included; stored factor entries
+   are a subset. In B^T y = e_r, the step l with q.(l) = r starts the
+   U^T solve, which feeds later steps through U's rows, then the L^T solve
+   feeds earlier steps through L's columns. Rows outside the reach are
+   never computed: BTRAN must leave them exactly 0.0. *)
+let symbolic_lu d (p, q) =
+  let n = Array.length d in
+  let c = Array.init n (fun k -> Array.init n (fun l -> d.(p.(k)).(q.(l)) <> 0.)) in
+  for k = 0 to n - 1 do
+    for i = k + 1 to n - 1 do
+      if c.(i).(k) then
+        for j = k + 1 to n - 1 do
+          if c.(k).(j) then c.(i).(j) <- true
+        done
+    done
+  done;
+  c
+
+let transpose_reach c (p, q) r =
+  let n = Array.length c in
+  let step = Array.make n false in
+  let l = ref 0 in
+  while q.(!l) <> r do incr l done;
+  step.(!l) <- true;
+  for k = 0 to n - 1 do
+    if step.(k) then
+      for j = k + 1 to n - 1 do
+        if c.(k).(j) then step.(j) <- true
+      done
+  done;
+  for k = n - 1 downto 0 do
+    if step.(k) then
+      for i = 0 to k - 1 do
+        if c.(k).(i) then step.(i) <- true
+      done
+  done;
+  let inside = Array.make n false in
+  Array.iteri (fun k s -> if s then inside.(p.(k)) <- true) step;
+  inside
+
+let check_unit_btrans what d =
+  let n = Array.length d in
+  let f =
+    match Lu.factorize ~dim:n (cols_of_dense d) with
+    | Ok f -> f
+    | Error (Lu.Singular k) -> Alcotest.failf "%s: singular at step %d" what k
+  in
+  let dt = Dense.transpose d in
+  let perms = Lu.permutations f in
+  let c = symbolic_lu d perms in
+  for r = 0 to n - 1 do
+    let y = Array.make n 0. in
+    y.(r) <- 1.;
+    Lu.solve_transpose f y;
+    let e = Array.make n 0. in
+    e.(r) <- 1.;
+    let dense =
+      match Dense.lu_solve dt e with
+      | Some v -> v
+      | None -> Alcotest.failf "%s: dense solve failed" what
+    in
+    let reach = transpose_reach c perms r in
+    for i = 0 to n - 1 do
+      if abs_float (y.(i) -. dense.(i)) > 1e-9 *. (1. +. abs_float dense.(i))
+      then
+        Alcotest.failf "%s: e_%d row %d: %.17g vs dense %.17g" what r i y.(i)
+          dense.(i);
+      if (not reach.(i)) && Int64.bits_of_float y.(i) <> 0L then
+        Alcotest.failf "%s: e_%d row %d outside the reach is %h, not 0.0" what
+          r i y.(i)
+    done
+  done
+
+let random_permutation rng n =
+  let p = Array.init n (fun i -> i) in
+  for i = n - 1 downto 1 do
+    let j = Prelude.Rng.int rng (i + 1) in
+    let t = p.(i) in
+    p.(i) <- p.(j);
+    p.(j) <- t
+  done;
+  p
+
+(* The basis of the optimum of a small Postcard program: its basic
+   structural and slack columns, plus unit columns for rows where an
+   artificial stayed basic. *)
+let postcard_basis () =
+  let rng = Prelude.Rng.of_int 31 in
+  let base =
+    Netgraph.Topology.complete ~n:4 ~rng ~cost_lo:1. ~cost_hi:10.
+      ~capacity:40.
+  in
+  let files =
+    List.mapi
+      (fun id (src, dst, size, deadline) ->
+        Postcard.File.make ~id ~src ~dst ~size ~deadline ~release:0)
+      [ (0, 3, 60., 3); (1, 2, 35., 2); (3, 1, 50., 3); (2, 0, 20., 1) ]
+  in
+  let model =
+    Postcard.Formulate.model
+      (Postcard.Formulate.create ~base
+         ~charged:(Array.make (Netgraph.Graph.num_arcs base) 0.)
+         ~capacity:(fun ~link:_ ~layer:_ -> 40.)
+         ~files ~epoch:0 ())
+  in
+  let basis =
+    match Lp.Simplex.solve model with
+    | Lp.Status.Optimal { basis = Some b; _ } -> b
+    | other -> Alcotest.failf "postcard LP: %a" Lp.Status.pp_outcome other
+  in
+  let sf = Lp.Standard_form.of_model model in
+  let m = sf.Lp.Standard_form.n_rows and n = sf.Lp.Standard_form.n_struct in
+  let cols = ref [] in
+  for j = Lp.Standard_form.total_vars sf - 1 downto 0 do
+    let st =
+      if j < n then Lp.Status.Basis.col_status basis j
+      else Lp.Status.Basis.row_status basis (j - n)
+    in
+    if st = Lp.Status.Basis.Basic then cols := j :: !cols
+  done;
+  let cols = Array.of_list !cols in
+  let iter k f = Csc.iter_col sf.Lp.Standard_form.a cols.(k) f in
+  let _, uncovered = Lu.crash_select ~dim:m ~ncols:(Array.length cols) iter in
+  let d = Dense.make m m in
+  Array.iteri
+    (fun k j ->
+      Csc.iter_col sf.Lp.Standard_form.a j (fun i v -> d.(i).(k) <- v))
+    cols;
+  Array.iteri
+    (fun k r -> d.(r).(Array.length cols + k) <- 1.)
+    uncovered;
+  d
+
+let test_btran_unit_vectors () =
+  let rng = Prelude.Rng.of_int 515 in
+  for trial = 1 to 6 do
+    let n = 8 + Prelude.Rng.int rng 40 in
+    check_unit_btrans
+      (Printf.sprintf "random sparse %d" trial)
+      (random_nonsingular rng n)
+  done;
+  let n = 30 in
+  let p = random_permutation rng n in
+  let perm = Dense.make n n in
+  Array.iteri
+    (fun i j -> perm.(i).(j) <- Prelude.Rng.float_range rng 0.5 2.)
+    p;
+  check_unit_btrans "permutation" perm;
+  (* Lower triangular with a few spikes above the diagonal, the shape of a
+     simplex basis after a handful of eta updates. *)
+  let n = 40 in
+  let tri = Dense.identity n in
+  for i = 1 to n - 1 do
+    if Prelude.Rng.int rng 3 = 0 then
+      tri.(i).(Prelude.Rng.int rng i) <- Prelude.Rng.float_range rng (-2.) 2.
+  done;
+  tri.(3).(20) <- 0.7;
+  tri.(11).(35) <- -1.25;
+  check_unit_btrans "near-triangular" tri;
+  check_unit_btrans "postcard basis" (postcard_basis ())
+
+(* FTRAN and BTRAN work in the factor's own vectors: a thousand calls of
+   each allocate nothing. *)
+let test_solves_allocate_nothing () =
+  let n = 60 in
+  let d = random_nonsingular (Prelude.Rng.of_int 77) n in
+  match Lu.factorize ~dim:n (cols_of_dense d) with
+  | Error _ -> Alcotest.fail "unexpected singular"
+  | Ok f ->
+      let v = Array.make n 0. in
+      let spin calls =
+        for k = 1 to calls do
+          Array.fill v 0 n 0.;
+          v.(k mod n) <- 1.;
+          Lu.solve f v;
+          Array.fill v 0 n 0.;
+          v.(k mod n) <- 1.;
+          Lu.solve_transpose f v
+        done
+      in
+      spin 10;
+      let w0 = Gc.minor_words () in
+      spin 1_000;
+      let dw = Gc.minor_words () -. w0 in
+      (* [Gc.minor_words] boxes its result; a few words over 2,000 solves
+         mean the solves themselves allocate nothing. *)
+      Alcotest.(check bool)
+        (Printf.sprintf "allocation-free (%.0f minor words / 2000 solves)" dw)
+        true (dw < 64.)
+
 let suite =
   [ Alcotest.test_case "identity" `Quick test_identity;
     Alcotest.test_case "permutation" `Quick test_permutation;
@@ -146,4 +342,7 @@ let suite =
     Alcotest.test_case "near-triangular sparse" `Quick test_near_triangular_sparse;
     Alcotest.test_case "min abs diag" `Quick test_min_abs_diag;
     Alcotest.test_case "random sparse solves" `Quick test_random_sparse_solves;
-    Alcotest.test_case "explicit column order" `Quick test_explicit_col_order ]
+    Alcotest.test_case "explicit column order" `Quick test_explicit_col_order;
+    Alcotest.test_case "btran of unit vectors" `Quick test_btran_unit_vectors;
+    Alcotest.test_case "solves allocate nothing" `Quick
+      test_solves_allocate_nothing ]

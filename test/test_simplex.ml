@@ -204,6 +204,66 @@ let test_transportation () =
      Cost = 15*1 + 5*2 + 5*5 + 25*4 = 150. *)
   check_obj "objective" 150. (solve m)
 
+(* The pivot row rho^T A is formed by scattering the nonzero rho_i, in
+   ascending row order, over the row-wise copy of A. Per column that must
+   reproduce Csc.dot_col bit for bit: the terms it skips are products with
+   an exact zero (of either sign), and the rest are added in the same
+   order. *)
+let check_pivot_row what a rho =
+  let module Csc = Sparselin.Csc in
+  let beta = Array.make (Csc.ncols a) 0. in
+  Csc.matvec_add (Csc.transpose a) rho beta;
+  Array.iteri
+    (fun j b ->
+      let dot = Csc.dot_col a j rho in
+      if Int64.bits_of_float b <> Int64.bits_of_float dot then
+        Alcotest.failf "%s: column %d: row-wise %h, dot_col %h" what j b dot)
+    beta
+
+let random_rho rng m =
+  Array.init m (fun _ ->
+      match Prelude.Rng.int rng 5 with
+      | 0 -> Prelude.Rng.float_range rng (-3.) 3.
+      | 1 -> ldexp (Prelude.Rng.float_range rng 0.5 1.) (Prelude.Rng.int rng 60 - 30)
+      | 2 -> -0.
+      | _ -> 0.)
+
+let test_pivot_row_bit_identical () =
+  let module Csc = Sparselin.Csc in
+  let rng = Prelude.Rng.of_int 4242 in
+  for trial = 1 to 40 do
+    let m = 1 + Prelude.Rng.int rng 30 and n = 1 + Prelude.Rng.int rng 50 in
+    let b = Csc.builder ~nrows:m ~ncols:n in
+    for _ = 1 to m * n / 6 do
+      (* Small integers cancel exactly; the rest exercise rounding. *)
+      let v =
+        if Prelude.Rng.bool rng then float_of_int (Prelude.Rng.int rng 5 - 2)
+        else Prelude.Rng.float_range rng (-10.) 10.
+      in
+      Csc.add b ~row:(Prelude.Rng.int rng m) ~col:(Prelude.Rng.int rng n) v
+    done;
+    check_pivot_row (Printf.sprintf "random %d" trial) (Csc.finalize b)
+      (random_rho rng m)
+  done;
+  (* The standard form's own row-wise copy, slack columns included. *)
+  let model = Model.create Model.Minimize in
+  let x = Array.init 6 (fun j -> Model.add_var model ~obj:(float_of_int j) ()) in
+  for i = 0 to 3 do
+    ignore
+      (Model.add_constraint model
+         (List.init 3 (fun k -> (x.((i + k) mod 6), float_of_int (k + 1))))
+         (if i mod 2 = 0 then Model.Le else Model.Ge)
+         10.)
+  done;
+  let sf = Lp.Standard_form.of_model model in
+  let a = sf.Lp.Standard_form.a and rows = sf.Lp.Standard_form.rows in
+  Alcotest.(check bool) "rows is the transpose of a" true
+    (Csc.to_dense rows = Sparselin.Dense.transpose (Csc.to_dense a));
+  for trial = 1 to 20 do
+    check_pivot_row (Printf.sprintf "standard form %d" trial) a
+      (random_rho rng sf.Lp.Standard_form.n_rows)
+  done
+
 let suite =
   [ Alcotest.test_case "textbook max" `Quick test_textbook_max;
     Alcotest.test_case "min with ge" `Quick test_min_with_ge;
@@ -222,4 +282,6 @@ let suite =
     Alcotest.test_case "zero objective" `Quick test_zero_objective;
     Alcotest.test_case "duals textbook" `Quick test_duals_textbook;
     Alcotest.test_case "primal feasibility" `Quick test_primal_feasibility_reported;
-    Alcotest.test_case "transportation" `Quick test_transportation ]
+    Alcotest.test_case "transportation" `Quick test_transportation;
+    Alcotest.test_case "pivot row bit-identical" `Quick
+      test_pivot_row_bit_identical ]
