@@ -277,7 +277,7 @@ let ablation_deadline_heterogeneity ~pool () =
   Format.printf "  nearly tie (see EXPERIMENTS.md).@."
 
 (* ------------------------------------------------------------------ *)
-(* Warm-start macro-benchmark: cold vs basis-crashed simplex across an
+(* Warm-start macro-benchmark: cold vs warm-started simplex across an
    online run (see DESIGN.md, "Warm-started LP pipeline"). *)
 
 let solver_warm_bench ~pool ~json =
@@ -307,11 +307,11 @@ let solver_warm_bench ~pool ~json =
   summary
 
 (* ------------------------------------------------------------------ *)
-(* Scale sweep: cold / primal-warm / dual-reopt iteration and wall-time
-   curves as the topology and horizon grow (see EXPERIMENTS.md). *)
+(* Scale sweep: cold / dual-reopt iteration and wall-time curves as the
+   topology and horizon grow (see EXPERIMENTS.md). *)
 
 let solver_scale_bench ~sizes ~budget_ms ~json =
-  section "Solver scale sweep — cold vs primal-warm vs dual re-opt";
+  section "Solver scale sweep — cold vs dual re-opt";
   let summary =
     Sim.Solver_bench.scale_sweep ?sizes ~seed:1 ?budget_ms ()
   in
@@ -757,7 +757,7 @@ let () =
        "PATH  write the runner scale-out summary as JSON");
       ("--scale",
        Arg.Set scale,
-       "  also run the solver scale sweep (cold vs primal-warm vs dual)");
+       "  also run the solver scale sweep (cold vs dual re-opt)");
       ("--scale-only",
        Arg.Set scale_only,
        "  run only the solver scale sweep (skip everything else)");

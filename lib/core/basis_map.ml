@@ -61,9 +61,8 @@ let capture keymap (basis : Status.Basis.t) =
    nonbasic at its bound (the cold-start choice); a brand-new row starts
    with its slack basic, i.e. the row inactive — for the capacity and
    dominance rows of fresh files that is almost always the optimal status,
-   and for the equality rows the warm-start repair in the solver demotes
-   the fixed slack and re-covers the row with an artificial, which is
-   exactly the cold treatment of that row. *)
+   and for the equality rows the fixed slack starts basic and the solver's
+   dual re-opt drives it to zero like any other bound violation. *)
 let apply t keymap =
   let cols =
     Array.map

@@ -15,8 +15,8 @@
     model, {!apply} projects it onto the next epoch's model. Keys present
     in both models carry their status over; keys only in the new model get
     cold-start defaults; keys only in the snapshot are dropped. The result
-    is fed to {!Lp.Simplex.solve}'s [?warm_start], whose repair ladder
-    absorbs whatever imperfections the translation leaves. *)
+    is fed to {!Lp.Simplex.solve}'s [?warm_start], which re-solves cold
+    whatever the translation leaves it unable to finish. *)
 
 type col_key =
   | Flow_tx of { file : int; link : int; slot : int }

@@ -45,7 +45,7 @@ type solve_info = {
 
 let keymap t = Texp_lp.keymap t.program ~model:t.model
 
-let solve_with_info ?params ?warm_start ?dual_reopt t =
+let solve_with_info ?params ?warm_start t =
   let warm_start =
     match warm_start with
     | None -> None
@@ -54,7 +54,7 @@ let solve_with_info ?params ?warm_start ?dual_reopt t =
   let no_info = { iterations = 0; stats = Lp.Status.no_stats; basis = None } in
   match
     Obs.Span.with_ "core.solve" (fun () ->
-        Lp.Simplex.solve ?params ?warm_start ?dual_reopt t.model)
+        Lp.Simplex.solve ?params ?warm_start t.model)
   with
   | Lp.Status.Infeasible -> (Infeasible, no_info)
   | Lp.Status.Unbounded ->

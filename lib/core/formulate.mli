@@ -76,7 +76,6 @@ type solve_info = {
 val solve_with_info :
   ?params:Lp.Simplex.params ->
   ?warm_start:Basis_map.t ->
-  ?dual_reopt:bool ->
   t ->
   result * solve_info
 (** Like {!solve}, additionally accepting the previous epoch's captured
@@ -85,6 +84,5 @@ val solve_with_info :
     own captured basis. When the translated basis installs dual-feasibly
     — the common case when only arrivals/faults changed the RHS — the
     solve re-optimizes with the dual simplex ({!Lp.Status.Dual_reopt}:
-    zero phase-1 pivots, zero repair rounds); [~dual_reopt:false] forces
-    the primal warm path (see {!Lp.Simplex.solve}). [solve] is
-    [fun t -> fst (solve_with_info t)]. *)
+    zero phase-1 pivots); otherwise it is solved cold (see
+    {!Lp.Simplex.solve}). [solve] is [fun t -> fst (solve_with_info t)]. *)

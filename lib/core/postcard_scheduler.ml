@@ -2,12 +2,16 @@ let log_src = Logs.Src.create "postcard.scheduler" ~doc:"Postcard scheduler"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-let make ?params ?(tie_break = 1e-7) ?(warm_start = true) () =
+(* The tie-break weight of every epoch's program; {!Formulate.create}'s
+   own default is 1e-4. *)
+let tie_break = 1e-7
+
+let make () =
   (* The previous epoch's optimal basis, re-keyed by stable structural
      keys. Consecutive epochs share most of their columns and rows (the
-     horizon slides by one slot), so crashing the simplex from this basis
+     horizon slides by one slot), so re-optimizing from this basis
      typically saves the bulk of the pivots. Correctness never depends on
-     it: the solver repairs or discards anything stale. *)
+     it: the solver re-solves cold whatever it cannot finish from it. *)
   let carried : Basis_map.t option ref = ref None in
   let schedule (ctx : Scheduler.context) files =
     (* A file whose destination is out of hop range has no time-expanded
@@ -36,8 +40,7 @@ let make ?params ?(tie_break = 1e-7) ?(warm_start = true) () =
               ~charged:ctx.Scheduler.charged ~capacity ~files:subset
               ~epoch:ctx.Scheduler.epoch ~tie_break ()
           in
-          let warm = if warm_start then !carried else None in
-          match Formulate.solve_with_info ?params ?warm_start:warm formulation with
+          match Formulate.solve_with_info ?warm_start:!carried formulation with
           | Formulate.Scheduled _ as s, info ->
               Some (s, info.Formulate.basis)
           | Formulate.Infeasible, _ -> None

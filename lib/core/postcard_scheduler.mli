@@ -6,20 +6,13 @@
     residual capacities), files are dropped highest-rate-first until the
     rest fits; dropped files are reported as rejected. *)
 
-val make :
-  ?params:Lp.Simplex.params ->
-  ?tie_break:float ->
-  ?warm_start:bool ->
-  unit ->
-  Scheduler.t
-(** [warm_start] (default [true]) carries each epoch's optimal simplex
-    basis — re-keyed by the stable structural keys of {!Basis_map} — into
-    the next epoch's solve, which typically cuts the pivot count by a
-    large factor on sliding-horizon workloads. Pass [false] to force every
-    solve cold (useful for benchmarking and debugging). Either way every
-    epoch's plan is optimal for that epoch's program, with identical LP
-    objective; but Postcard programs are massively degenerate, so warm and
-    cold solves may pick different cost-equal vertices, and committing a
-    different optimal plan can nudge later epochs' programs — simulated
-    cost trajectories therefore agree per epoch in optimality, not
-    bit-for-bit across a run. *)
+val make : unit -> Scheduler.t
+(** Each epoch's optimal simplex basis — re-keyed by the stable structural
+    keys of {!Basis_map} — warm-starts the next epoch's solve, which
+    typically cuts the pivot count by a large factor on sliding-horizon
+    workloads. Every epoch's plan is optimal for that epoch's program,
+    warm or cold; but Postcard programs are massively degenerate, so warm
+    and cold solves may pick different cost-equal vertices, and
+    committing a different optimal plan can nudge later epochs' programs
+    — simulated cost trajectories therefore agree per epoch in
+    optimality, not bit-for-bit across solver variants. *)

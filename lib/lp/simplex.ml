@@ -716,31 +716,30 @@ let extract_solution st =
     basis = Some basis }
 
 (* ------------------------------------------------------------------ *)
-(* Warm start: crash the solver onto a basis carried over from an earlier
-   (usually structurally similar) solve.
+(* Warm start: dual simplex re-optimization, then cold.
 
-   The carried basis is never trusted. Installation runs a repair ladder:
+   After a slot-to-slot or post-strand re-solve only the RHS and bounds
+   of the program change, so the previous optimal basis — translated
+   through Basis_map — stays *dual* feasible: its reduced costs still
+   have optimal signs, only some basic values drifted outside their
+   bounds. The dual simplex restores primal feasibility directly, with
+   zero phase-1 pivots: each pivot picks the most infeasible basic
+   variable to leave (dual Devex row weights) and a bounded-variable
+   two-pass ratio test over the pivot row picks the entering column that
+   keeps the reduced-cost signs intact. When no column can enter, the
+   leaving row is a Farkas candidate, checked independently by
+   [certifies_infeasibility].
 
-   1. dimension mismatch -> reject (caller falls back to the cold start);
-   2. the basic-marked columns go through {!Lu.crash_select}, which keeps a
-      maximal independent subset and reports the rows it left unpivoted;
-      skipped columns are demoted to a bound and every uncovered row gets
-      its artificial column back;
-   3. artificial basic values driven negative have their sign flipped
-      (an artificial column is +-e_i, so the flip negates only its own
-      value);
-   4. basic structural/slack variables outside their bounds are demoted to
-      the violated bound and the crash re-runs without them — each round
-      strictly shrinks the candidate set, and a bounded number of rounds
-      guards the pathological case;
-   5. any Numerical_failure along the way rejects the warm start entirely.
+   The machinery below shares everything with the primal: the LU/eta
+   file, [apply_step], the reduced-cost update (the same rank-one
+   formula as [pivot_update], against the stored pivot row instead of a
+   second BTRAN), and the refactorization schedule. Cost perturbation is
+   *not* used — it would destroy the dual feasibility the method lives
+   on — so persistent dual degeneracy trips a stall counter. Anything the
+   dual path cannot finish is re-solved cold. *)
 
-   On success the state is primal feasible except possibly for positive
-   artificial values, exactly the invariant the cold start establishes, so
-   the ordinary phase-1/phase-2 driver runs unchanged. *)
-
-(* Park nonbasic column [j] consistently with a carried status, preferring
-   the carried bound when it exists. *)
+(* Park nonbasic column [j] consistently with a carried status,
+   preferring the carried bound when it exists. *)
 let park_nonbasic st j (ws : Status.Basis.var_status) =
   let at_lower () =
     st.status.(j) <- At_lower;
@@ -760,165 +759,14 @@ let park_nonbasic st j (ws : Status.Basis.var_status) =
       else if st.ub.(j) < infinity then at_upper ()
       else free ()
 
-let max_repair_rounds = 12
-
-(* Returns [Some rounds] (the number of repair rounds beyond the initial
-   crash install: 0 = installed as carried) on success, [None] when the
-   basis must be rejected. *)
-let try_warm_start st (wb : Status.Basis.t) =
-  let n = st.sf.Standard_form.n_struct in
-  if Status.Basis.num_cols wb <> n || Status.Basis.num_rows wb <> st.m then
-    None
-  else begin
-    let wanted j =
-      if j < n then Status.Basis.col_status wb j
-      else Status.Basis.row_status wb (j - n)
-    in
-    (* Park every nonbasic column at its carried bound; collect the
-       basic-marked ones as crash candidates. *)
-    let candidates = ref [] in
-    for j = st.tot - 1 downto 0 do
-      match wanted j with
-      | Status.Basis.Basic -> candidates := j :: !candidates
-      | ws -> park_nonbasic st j ws
-    done;
-    let cands = ref (Array.of_list !candidates) in
-    let installed = ref false and rejected = ref false in
-    let rounds = ref 0 in
-    while (not !installed) && not !rejected do
-      incr rounds;
-      if !rounds > max_repair_rounds then rejected := true
-      else begin
-        (* Artificials restart nonbasic at zero each round; the crash
-           re-adds the ones it needs. *)
-        for i = 0 to st.m - 1 do
-          let a = st.tot + i in
-          st.status.(a) <- At_lower;
-          st.x.(a) <- 0.
-        done;
-        let cands_now = !cands in
-        let accepted, unpivoted =
-          Lu.crash_select ~dim:st.m ~ncols:(Array.length cands_now) (fun k f ->
-              iter_column st cands_now.(k) f)
-        in
-        let kept = Array.make (Array.length cands_now) false in
-        Array.iter (fun k -> kept.(k) <- true) accepted;
-        Array.iteri
-          (fun k j ->
-            if not kept.(k) then park_nonbasic st j Status.Basis.At_lower)
-          cands_now;
-        let pos = ref 0 in
-        Array.iter
-          (fun k ->
-            let j = cands_now.(k) in
-            st.basis.(!pos) <- j;
-            st.status.(j) <- Basic;
-            incr pos)
-          accepted;
-        Array.iter
-          (fun r ->
-            let a = st.tot + r in
-            st.basis.(!pos) <- a;
-            st.status.(a) <- Basic;
-            incr pos)
-          unpivoted;
-        assert (!pos = st.m);
-        match factorize st with
-        | exception Numerical_failure -> rejected := true
-        | () ->
-            recompute_basics st;
-            (* An artificial column is art_sign * e_r: flipping the sign
-               negates only that basic value, turning a negative (infeasible
-               below its zero lower bound) artificial into a positive
-               phase-1 residual. *)
-            let flipped = ref false in
-            for i = 0 to st.m - 1 do
-              let bv = st.basis.(i) in
-              if bv >= st.tot && st.x.(bv) < 0. then begin
-                st.art_sign.(bv - st.tot) <- -.st.art_sign.(bv - st.tot);
-                flipped := true
-              end
-            done;
-            if !flipped then begin
-              match factorize st with
-              | exception Numerical_failure -> rejected := true
-              | () -> recompute_basics st
-            end;
-            if not !rejected then begin
-              (* Demote basic structural/slack variables parked outside
-                 their bounds by the carried point; re-crash without them. *)
-              let violators = ref [] in
-              let feas = st.p.feasibility_tolerance in
-              for i = 0 to st.m - 1 do
-                let j = st.basis.(i) in
-                if j < st.tot then begin
-                  let xj = st.x.(j) in
-                  if xj < st.lb.(j) -. feas || xj > st.ub.(j) +. feas then
-                    violators := j :: !violators
-                end
-              done;
-              match !violators with
-              | [] -> installed := true
-              | bad ->
-                  List.iter
-                    (fun j ->
-                      let ws =
-                        if st.x.(j) > st.ub.(j) then Status.Basis.At_upper
-                        else Status.Basis.At_lower
-                      in
-                      park_nonbasic st j ws)
-                    bad;
-                  let keep = Array.make st.tot false in
-                  for i = 0 to st.m - 1 do
-                    let j = st.basis.(i) in
-                    if j < st.tot && st.status.(j) = Basic then
-                      keep.(j) <- true
-                  done;
-                  List.iter (fun j -> keep.(j) <- false) bad;
-                  let next = ref [] in
-                  for j = st.tot - 1 downto 0 do
-                    if keep.(j) then next := j :: !next
-                  done;
-                  cands := Array.of_list !next
-            end
-      end
-    done;
-    if !installed then begin
-      Log.debug (fun m ->
-          m "warm start installed after %d repair round(s)" (!rounds - 1));
-      Some (!rounds - 1)
-    end
-    else None
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Dual simplex re-optimization.
-
-   After a slot-to-slot or post-strand re-solve only the RHS and bounds
-   of the program change, so the previous optimal basis — translated
-   through Basis_map — stays *dual* feasible: its reduced costs still
-   have optimal signs, only some basic values drifted outside their
-   bounds. The dual simplex restores primal feasibility directly, with
-   zero phase-1 pivots and zero repair rounds: each pivot picks the most
-   infeasible basic variable to leave (dual Devex row weights) and a
-   bounded-variable two-pass ratio test over the pivot row picks the
-   entering column that keeps the reduced-cost signs intact.
-
-   The machinery below shares everything with the primal: the LU/eta
-   file, [apply_step], the reduced-cost update (the same rank-one
-   formula as [pivot_update], against the stored pivot row instead of a
-   second BTRAN), and the refactorization schedule. Cost perturbation is
-   *not* used — it would destroy the dual feasibility the method lives
-   on — so persistent dual degeneracy trips a stall counter and the
-   solve falls back to the primal warm path instead. *)
-
 (* Install a carried basis for dual re-optimization: park nonbasics at
-   their carried bounds, run a single crash round (no repair ladder —
-   out-of-bound *basic* values are the dual's job, not a defect), move
-   straight to phase-2 costs, and verify dual feasibility of the
-   nonbasic reduced costs, bound-flipping any violator with a finite
-   opposite bound. Returns false when the basis must go through the
-   primal path instead (dimension mismatch, singular crash, or a dual
+   their carried bounds, crash the basic-marked columns through
+   {!Lu.crash_select} (dependent ones are parked, uncovered rows get an
+   artificial; out-of-bound *basic* values are the dual's job, not a
+   defect), move straight to phase-2 costs, and verify dual feasibility
+   of the nonbasic reduced costs, bound-flipping any violator with a
+   finite opposite bound. Returns false when the basis cannot be used
+   (dimension mismatch, a singular factorization, or a dual
    infeasibility that cannot be flipped away). *)
 let try_dual_reopt st (wb : Status.Basis.t) =
   let n = st.sf.Standard_form.n_struct in
@@ -1013,12 +861,12 @@ let try_dual_reopt st (wb : Status.Basis.t) =
 
 type dual_result =
   | Dual_optimal  (** Primal feasibility restored; polish and extract. *)
-  | Dual_no_entering
-      (** A ratio test found no entering column. The row certifies primal
-          infeasibility, but the primal fallback re-derives the verdict
-          rather than trusting a crashed basis with it. *)
-  | Dual_stalled  (** Persistent dual degeneracy; fall back. *)
-  | Dual_iteration_limit
+  | Dual_blocked_row
+      (** Pass 1 of the ratio test found no entering column: [st.rho]
+          holds row r of the basis inverse, a Farkas candidate. *)
+  | Dual_gave_up of string
+      (** Pass 2 found no candidate, a stall, or the iteration limit; the
+          string names which, for the debug log. *)
 
 (* The dual iteration over a state prepared by [try_dual_reopt]. Raises
    [Numerical_failure] like the primal loop; the caller falls back. *)
@@ -1033,7 +881,7 @@ let run_dual st =
   (try
      while true do
        if st.iterations >= st.p.max_iterations then begin
-         result := Dual_iteration_limit;
+         result := Dual_gave_up "iteration limit";
          raise Exit
        end;
        (* Dual Devex pricing: the basic variable with the largest
@@ -1107,7 +955,7 @@ let run_dual st =
        done;
        if !theta_max = infinity then begin
          Obs.Span.end_ ratio_sp;
-         result := Dual_no_entering;
+         result := Dual_blocked_row;
          raise Exit
        end;
        (* Pass 2: among columns whose exact ratio fits under the relaxed
@@ -1139,7 +987,10 @@ let run_dual st =
        done;
        Obs.Span.end_ ratio_sp;
        if !enter < 0 then begin
-         result := Dual_no_entering;
+         (* Only a reduced cost drifted past the dual tolerance can make
+            pass 2 come up empty after pass 1 bounded the step. Such a
+            row has not been seen to certify, so it goes unchecked. *)
+         result := Dual_gave_up "pass 2 found no entering column";
          raise Exit
        end;
        let enter = !enter in
@@ -1155,12 +1006,12 @@ let run_dual st =
        (* Reduced costs: the same rank-one update as a primal pivot,
           against the stored pivot row. A tiny dual step is a degenerate
           pivot; without perturbation to lean on, a long run of them
-          means giving up (the fallback is the primal warm path). *)
+          means giving up (the fallback is a cold solve). *)
        let step = st.d.(enter) /. alpha_r in
        if abs_float step <= dtol then begin
          incr stall;
          if !stall > st.p.degenerate_switch then begin
-           result := Dual_stalled;
+           result := Dual_gave_up "persistent dual degeneracy";
            raise Exit
          end
        end
@@ -1211,21 +1062,58 @@ let run_dual st =
    with Exit -> ());
   !result
 
+(* Independent check of a Farkas candidate [rho] (one multiplier per
+   row). Every x with A x = b satisfies rho . b = (A^T rho) . x, so if
+   rho . b lies outside the range (A^T rho) . x takes over the bound box,
+   no x does: the program is infeasible. A^T rho, b and the bounds are
+   read from the standard form, never from the solver's mutated copies,
+   so a drifted basis can cost a cold re-solve but not a wrong verdict.
+   Artificial columns are absent: a feasible point has none. The
+   tolerance matches phase 1's 1e-6 verdict, since a gap g forces
+   ||A x - b||_1 >= g / max|rho_i| at every x in the box; its second
+   term absorbs the rounding of the sums. *)
+let certifies_infeasibility (sf : Standard_form.t) rho =
+  let rho_b = ref 0. and rho_max = ref 0. and mag = ref 0. in
+  Array.iteri
+    (fun i r ->
+      let t = r *. sf.b.(i) in
+      rho_b := !rho_b +. t;
+      mag := !mag +. abs_float t;
+      rho_max := max !rho_max (abs_float r))
+    rho;
+  let lo = ref 0. and hi = ref 0. in
+  Array.iteri
+    (fun j a ->
+      if a <> 0. then begin
+        let at_lb = a *. sf.lb.(j) and at_ub = a *. sf.ub.(j) in
+        let low = min at_lb at_ub and high = max at_lb at_ub in
+        lo := !lo +. low;
+        hi := !hi +. high;
+        if Float.is_finite low then mag := !mag +. abs_float low;
+        if Float.is_finite high then mag := !mag +. abs_float high
+      end)
+    (Csc.matvec sf.rows rho);
+  let tol = (1e-6 *. !rho_max) +. (1e-9 *. !mag) in
+  !rho_b > !hi +. tol || !rho_b < !lo -. tol
+
 (* Dual re-optimization driver over a state [try_dual_reopt] accepted.
-   Returns [None] to request the primal fallback. On success the state is
-   primal feasible and (within tolerance) dual feasible, so the closing
-   primal polish typically prices out immediately — it exists to wash out
-   incremental drift and absorb any sub-tolerance residue as ordinary
-   phase-2 pivots. *)
+   Returns [Error reason] to request the cold fallback. On [Dual_optimal]
+   the state is primal feasible and (within tolerance) dual feasible, so
+   the closing primal polish typically prices out immediately — it
+   exists to wash out incremental drift and absorb any sub-tolerance
+   residue as ordinary phase-2 pivots. *)
 let drive_dual st =
   match Obs.Span.with_ "lp.dual" (fun () -> run_dual st) with
-  | Dual_no_entering | Dual_stalled | Dual_iteration_limit -> None
+  | Dual_gave_up why -> Error why
+  | Dual_blocked_row ->
+      if certifies_infeasibility st.sf st.rho then Ok Status.Infeasible
+      else Error "blocked row failed the infeasibility certificate"
   | Dual_optimal -> (
       reset_phase_controls st;
       match Obs.Span.with_ "lp.phase2" (fun () -> run_phase st) with
-      | Phase_optimal -> Some (Status.Optimal (extract_solution st))
-      | Phase_unbounded -> Some Status.Unbounded
-      | Phase_iteration_limit -> Some Status.Iteration_limit)
+      | Phase_optimal -> Ok (Status.Optimal (extract_solution st))
+      | Phase_unbounded -> Ok Status.Unbounded
+      | Phase_iteration_limit -> Ok Status.Iteration_limit)
 
 (* Two-phase driver over an initialized (cold or warm-started) state.
    Raises [Numerical_failure] when the factorization engine gives up. *)
@@ -1268,7 +1156,6 @@ let m_solves = Obs.Metrics.counter "simplex.solves"
 let m_pivots = Obs.Metrics.counter "simplex.pivots"
 let m_refactorizations = Obs.Metrics.counter "simplex.refactorizations"
 let m_bound_flips = Obs.Metrics.counter "simplex.bound_flips"
-let m_warm_accepted = Obs.Metrics.counter "simplex.warm_accepted"
 let m_dual_reopts = Obs.Metrics.counter "simplex.dual_reopts"
 let m_dual_pivots = Obs.Metrics.counter "simplex.dual_pivots"
 let m_warm_fell_back = Obs.Metrics.counter "simplex.warm_fell_back"
@@ -1289,7 +1176,6 @@ let record_solve ~ms st outcome =
   (match st.warm with
    | Status.No_warm_start -> ()
    | Status.Dual_reopt -> Obs.Metrics.incr m_dual_reopts
-   | Status.Warm_accepted _ -> Obs.Metrics.incr m_warm_accepted
    | Status.Warm_fell_back -> Obs.Metrics.incr m_warm_fell_back);
   Obs.Metrics.observe h_pivots (float_of_int st.iterations);
   if Obs.Trace.enabled () then begin
@@ -1308,16 +1194,10 @@ let record_solve ~ms st outcome =
         ("perturbations", Obs.Trace.Int s.Status.perturbations);
         ("bland", Obs.Trace.Bool s.Status.bland);
         ("warm", Obs.Trace.Str (Status.warm_start_outcome_name st.warm));
-        ("repair_rounds",
-         Obs.Trace.Int
-           (match st.warm with
-            | Status.Warm_accepted { repair_rounds } -> repair_rounds
-            | Status.No_warm_start | Status.Dual_reopt
-            | Status.Warm_fell_back -> 0));
         ("ms", Obs.Trace.Float ms) ]
   end
 
-let solve ?params ?warm_start ?(dual_reopt = true) model =
+let solve ?params ?warm_start model =
   let solve_sp = Obs.Span.begin_ "lp.solve" in
   let t0 = Obs.Trace.now_ms () in
   let sf = Standard_form.of_model model in
@@ -1331,69 +1211,41 @@ let solve ?params ?warm_start ?(dual_reopt = true) model =
     Status.Infeasible
   end
   else begin
-    (* Every exit path remembers the state it solved with, so the
-       per-solve telemetry reflects the run that produced the reported
-       outcome (after a warm fallback: the cold rerun, flagged
-       [Warm_fell_back]). *)
-    let cold ~warm () =
-      match initialize ?params sf with
-      | exception Numerical_failure -> (Status.Iteration_limit, None)
-      | st ->
-          st.warm <- warm;
-          (match drive st with
-           | outcome -> (outcome, Some st)
-           | exception Numerical_failure -> (Status.Iteration_limit, Some st))
+    (* The state returned with the outcome is the one that produced it, so
+       the per-solve telemetry describes that run (after a warm fallback:
+       the cold rerun, flagged [Warm_fell_back]). *)
+    let cold ~warm =
+      let st = initialize ?params sf in
+      st.warm <- warm;
+      match drive st with
+      | outcome -> (outcome, st)
+      | exception Numerical_failure -> (Status.Iteration_limit, st)
     in
-    (* Any failure along the warm path — a basis that cannot be repaired,
-       or a numerical breakdown while iterating from it — falls back to
-       the cold start, so supplying a warm basis can never produce a
-       worse outcome class than not supplying one. The dual re-opt sits
-       one rung above the primal warm crash on the same ladder:
-       dual install/iterate failure falls to the primal warm path (a
-       fresh state: the dual attempt froze artificial bounds, which
-       phase 1 must not inherit), which in turn falls to cold. *)
-    let primal_warm wb () =
-      match initialize ?params sf with
-      | exception Numerical_failure -> (Status.Iteration_limit, None)
-      | st -> (
-          match try_warm_start st wb with
-          | None ->
-              Log.debug (fun m ->
-                  m "warm basis rejected; falling back to cold start");
-              cold ~warm:Status.Warm_fell_back ()
-          | Some rounds -> (
-              st.warm <- Status.Warm_accepted { repair_rounds = rounds };
-              match drive st with
-              | outcome -> (outcome, Some st)
-              | exception Numerical_failure ->
-                  cold ~warm:Status.Warm_fell_back ())
-          | exception Numerical_failure ->
-              cold ~warm:Status.Warm_fell_back ())
+    (* Whatever the dual path cannot finish — an unusable basis, an
+       uncertified blocked row, an empty ratio-test pass 2, a stall, the
+       iteration limit, a numerical failure — is solved again from
+       scratch (a fresh state: the dual attempt froze artificial bounds,
+       which phase 1 must not inherit), so supplying a warm basis can
+       never produce a worse outcome class than not supplying one. *)
+    let fall_back why =
+      Log.debug (fun m -> m "dual re-opt: %s; solving cold" why);
+      cold ~warm:Status.Warm_fell_back
     in
-    let outcome, final_st =
+    let outcome, st =
       match warm_start with
-      | None -> cold ~warm:Status.No_warm_start ()
-      | Some wb when not dual_reopt -> primal_warm wb ()
+      | None -> cold ~warm:Status.No_warm_start
       | Some wb -> (
-          match initialize ?params sf with
-          | exception Numerical_failure -> (Status.Iteration_limit, None)
-          | st -> (
-              match try_dual_reopt st wb with
-              | false -> primal_warm wb ()
-              | true -> (
-                  st.warm <- Status.Dual_reopt;
-                  match drive_dual st with
-                  | Some outcome -> (outcome, Some st)
-                  | None ->
-                      Log.debug (fun m ->
-                          m "dual re-opt gave up; primal warm fallback");
-                      primal_warm wb ()
-                  | exception Numerical_failure -> primal_warm wb ())
-              | exception Numerical_failure -> primal_warm wb ()))
+          let st = initialize ?params sf in
+          match try_dual_reopt st wb with
+          | false -> fall_back "carried basis unusable"
+          | true -> (
+              st.warm <- Status.Dual_reopt;
+              match drive_dual st with
+              | Ok outcome -> (outcome, st)
+              | Error why -> fall_back why
+              | exception Numerical_failure -> fall_back "numerical failure"))
     in
-    (match final_st with
-     | Some st -> record_solve ~ms:(Obs.Trace.now_ms () -. t0) st outcome
-     | None -> ());
+    record_solve ~ms:(Obs.Trace.now_ms () -. t0) st outcome;
     Obs.Span.end_ solve_sp;
     outcome
   end

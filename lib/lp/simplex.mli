@@ -22,10 +22,11 @@
     re-solves, where only RHS/bounds changed), re-optimization runs dual
     pivots — most-infeasible leaving row under dual Devex row weights, a
     bounded-variable two-pass dual ratio test over the pivot row — and
-    never touches phase 1 or the repair ladder. Any dual difficulty
-    (a dual-infeasible install, persistent dual degeneracy, numerical
-    failure) falls back to the primal warm crash, which itself falls
-    back to a cold solve.
+    never touches phase 1. A leaving row no column can enter is a Farkas
+    candidate: an independent bound check over the standard form turns
+    it into a certified [Infeasible] verdict. Anything else the dual path
+    cannot finish (a dual-infeasible install, an uncertified row,
+    persistent dual degeneracy, numerical failure) is solved cold.
 
     This solver is exact up to floating-point tolerances for any LP built
     with {!Model}; the test suite cross-checks it against the independent
@@ -48,7 +49,6 @@ val default_params : params
 val solve :
   ?params:params ->
   ?warm_start:Status.Basis.t ->
-  ?dual_reopt:bool ->
   Model.t ->
   Status.outcome
 (** Solve a model. The returned solution is expressed in the model's own
@@ -57,16 +57,11 @@ val solve :
 
     [warm_start] starts the solver from a basis captured by an earlier
     solve (of this model or of a structurally similar one, translated onto
-    this model's indices). With [dual_reopt] (the default), a basis that
-    installs dual-feasibly re-optimizes with the dual simplex — zero
-    phase-1 pivots, zero repair rounds, outcome
-    {!Status.Dual_reopt} — and otherwise the primal crash path runs: the
-    carried basis is repaired before use (dependent columns demoted
-    through {!Sparselin.Lu.crash_select}, uncovered rows regain their
-    slack/artificial column, out-of-bound basic values parked at the
-    violated bound) and the solver falls back to the ordinary cold start
-    whenever repair fails or a numerical failure occurs while iterating
-    from the warm basis. [~dual_reopt:false] forces the primal path (the
-    scale benchmark uses it to separate the two warm curves). Supplying a
-    wrong or stale basis is always safe: it can only cost iterations,
-    never correctness. *)
+    this model's indices). Dependent basic-marked columns are dropped
+    through {!Sparselin.Lu.crash_select} and uncovered rows get an
+    artificial column. A basis that then installs dual-feasibly
+    re-optimizes with the dual simplex (outcome {!Status.Dual_reopt},
+    zero phase-1 pivots), ending in an optimum or a certified
+    [Infeasible]; every other case is solved cold
+    ({!Status.Warm_fell_back}). Supplying a wrong or stale basis is always
+    safe: it can only cost iterations, never correctness. *)

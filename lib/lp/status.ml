@@ -28,7 +28,6 @@ end
 type warm_start_outcome =
   | No_warm_start
   | Dual_reopt
-  | Warm_accepted of { repair_rounds : int }
   | Warm_fell_back
 
 type stats = {
@@ -82,16 +81,11 @@ let get_optimal = function
 let warm_start_outcome_name = function
   | No_warm_start -> "none"
   | Dual_reopt -> "dual_reopt"
-  | Warm_accepted _ -> "accepted"
   | Warm_fell_back -> "fell_back"
 
 let pp_warm_start_outcome ppf = function
   | No_warm_start -> Format.pp_print_string ppf "cold"
   | Dual_reopt -> Format.pp_print_string ppf "warm (dual re-opt)"
-  | Warm_accepted { repair_rounds = 0 } ->
-      Format.pp_print_string ppf "warm (accepted)"
-  | Warm_accepted { repair_rounds } ->
-      Format.fprintf ppf "warm (repaired, %d rounds)" repair_rounds
   | Warm_fell_back -> Format.pp_print_string ppf "warm rejected (cold fallback)"
 
 let pp_stats ppf s =

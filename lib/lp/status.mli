@@ -6,8 +6,8 @@
     and replayed — possibly onto a {e different} model, after translation
     through {!Basis.make} — as the [?warm_start] argument of
     {!Simplex.solve}. The warm-start machinery never trusts a basis: a
-    singular, truncated, or simply wrong basis is repaired or discarded,
-    so any statuses are safe to supply. *)
+    singular, truncated, or simply wrong basis at worst costs a cold
+    solve, so any statuses are safe to supply. *)
 module Basis : sig
   type var_status =
     | Basic
@@ -40,17 +40,15 @@ end
 type warm_start_outcome =
   | No_warm_start  (** No basis was supplied; the solve started cold. *)
   | Dual_reopt
-      (** The basis installed dual-feasibly and the solve re-optimized
-          with the dual simplex: zero phase-1 pivots, zero repair
-          rounds. The default path for slot-to-slot and post-strand
-          re-solves, where only RHS/bounds change. *)
-  | Warm_accepted of { repair_rounds : int }
-      (** The basis was installed by the primal crash after
-          [repair_rounds] repair rounds beyond the first install
-          (0 = installed as carried, more = repaired). *)
+      (** The basis installed dual-feasibly and the dual simplex
+          finished the solve with zero phase-1 pivots: an optimum, or an
+          [Infeasible] verdict certified by a Farkas row. The path for
+          slot-to-slot and post-strand re-solves, where only RHS/bounds
+          change. *)
   | Warm_fell_back
-      (** The basis could not be installed, or iterating from it hit a
-          numerical failure; the reported solve is the cold fallback. *)
+      (** The dual path could not finish (unusable basis, uncertified
+          row, stall, iteration limit or numerical failure); the reported
+          solve is the cold fallback. *)
 
 (** Per-solve effort record, filled in by the revised simplex. Solvers
     that do not track a statistic report its zero/default ({!no_stats});
@@ -109,7 +107,7 @@ val pp_outcome : Format.formatter -> outcome -> unit
 val pp_warm_start_outcome : Format.formatter -> warm_start_outcome -> unit
 
 val warm_start_outcome_name : warm_start_outcome -> string
-(** Stable machine-readable name: ["none"], ["dual_reopt"], ["accepted"]
-    or ["fell_back"] — the vocabulary used in traces and bench JSON. *)
+(** Stable machine-readable name: ["none"], ["dual_reopt"] or
+    ["fell_back"] — the vocabulary used in traces and bench JSON. *)
 
 val pp_stats : Format.formatter -> stats -> unit

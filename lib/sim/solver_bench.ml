@@ -27,10 +27,8 @@ type summary = {
   cold_ms : float;
   warm_ms : float;
   max_objective_gap : float;
-  warm_accepted : int;  (* warm-start outcome tallies over slots >= 1 *)
-  warm_repaired : int;
-  warm_fell_back : int;
-  dual_reopts : int;  (* subset of warm_accepted that ran the dual simplex *)
+  warm_fell_back : int;  (* warm-start outcome tallies over slots >= 1 *)
+  dual_reopts : int;
   dual_pivots : int;  (* dual pivots over warm solves of slots >= 1 *)
   warm_phase1_pivots : int;  (* primal phase-1 pivots, same population *)
 }
@@ -42,8 +40,6 @@ let classify (o : Lp.Status.warm_start_outcome) =
   match o with
   | Lp.Status.No_warm_start -> `Cold
   | Lp.Status.Dual_reopt -> `Dual
-  | Lp.Status.Warm_accepted { repair_rounds = 0 } -> `Accepted
-  | Lp.Status.Warm_accepted _ -> `Repaired
   | Lp.Status.Warm_fell_back -> `Fell_back
 
 (* Recompute every outcome tally from the per-slot records and compare
@@ -52,25 +48,16 @@ let classify (o : Lp.Status.warm_start_outcome) =
 let reconcile s =
   let warmed = List.filter (fun st -> st.slot >= 1) s.per_slot in
   let count f = List.length (List.filter f warmed) in
-  let accepted =
-    count (fun st ->
-        match classify st.warm_stats.Lp.Status.warm_start with
-        | `Dual | `Accepted -> true
-        | `Cold | `Repaired | `Fell_back -> false)
-  and repaired =
-    count (fun st -> classify st.warm_stats.Lp.Status.warm_start = `Repaired)
-  and fell_back =
+  let fell_back =
     count (fun st -> classify st.warm_stats.Lp.Status.warm_start = `Fell_back)
   and dual =
     count (fun st -> classify st.warm_stats.Lp.Status.warm_start = `Dual)
   in
   let checks =
-    [ ("warm_accepted", s.warm_accepted, accepted);
-      ("warm_repaired", s.warm_repaired, repaired);
-      ("warm_fell_back", s.warm_fell_back, fell_back);
+    [ ("warm_fell_back", s.warm_fell_back, fell_back);
       ("dual_reopts", s.dual_reopts, dual);
       ( "outcome total",
-        s.warm_accepted + s.warm_repaired + s.warm_fell_back,
+        s.warm_fell_back + s.dual_reopts,
         List.length warmed ) ]
   in
   let bad =
@@ -206,19 +193,6 @@ let run ?(nodes = 6) ?(slots = 12) ?(seed = 1) ?pool () =
     warm_ms = sum (fun s -> s.warm_ms);
     max_objective_gap =
       List.fold_left (fun acc s -> max acc s.objective_gap) 0. per_slot;
-    warm_accepted =
-      List.length
-        (List.filter
-           (fun s ->
-             match classify s.warm_stats.Lp.Status.warm_start with
-             | `Dual | `Accepted -> true
-             | `Cold | `Repaired | `Fell_back -> false)
-           warmed);
-    warm_repaired =
-      List.length
-        (List.filter
-           (fun s -> classify s.warm_stats.Lp.Status.warm_start = `Repaired)
-           warmed);
     warm_fell_back =
       List.length
         (List.filter
@@ -251,9 +225,6 @@ let pp_summary ppf s =
         match st.warm_stats.Lp.Status.warm_start with
         | Lp.Status.No_warm_start -> "-"
         | Lp.Status.Dual_reopt -> "dual"
-        | Lp.Status.Warm_accepted { repair_rounds = 0 } -> "accepted"
-        | Lp.Status.Warm_accepted { repair_rounds } ->
-            Printf.sprintf "repair:%d" repair_rounds
         | Lp.Status.Warm_fell_back -> "fell back"
       in
       Format.fprintf ppf
@@ -268,9 +239,8 @@ let pp_summary ppf s =
     s.cold_iterations s.warm_iterations (iteration_ratio s) s.cold_ms
     s.warm_ms;
   Format.fprintf ppf
-    "  warm-start outcomes: %d accepted clean (%d via dual re-opt), \
-     %d repaired, %d fell back@."
-    s.warm_accepted s.dual_reopts s.warm_repaired s.warm_fell_back;
+    "  warm-start outcomes: %d dual re-opt, %d fell back@." s.dual_reopts
+    s.warm_fell_back;
   Format.fprintf ppf
     "  re-opt effort: %d dual pivots, %d phase-1 pivots on warm solves@."
     s.dual_pivots s.warm_phase1_pivots;
@@ -298,21 +268,14 @@ let to_json s =
   field "seed" (string_of_int s.seed);
   Buffer.add_string b "  \"per_slot\": [\n";
   let json_stats (st : Lp.Status.stats) =
-    let repair_rounds =
-      match st.Lp.Status.warm_start with
-      | Lp.Status.Warm_accepted { repair_rounds } -> repair_rounds
-      | Lp.Status.No_warm_start | Lp.Status.Dual_reopt
-      | Lp.Status.Warm_fell_back -> 0
-    in
     Printf.sprintf
       "{\"phase1_pivots\": %d, \"phase2_pivots\": %d, \"dual_pivots\": %d, \
        \"refactorizations\": %d, \"eta_peak\": %d, \"bound_flips\": %d, \
-       \"warm_start\": %S, \"repair_rounds\": %d}"
+       \"warm_start\": %S}"
       st.Lp.Status.phase1_pivots st.Lp.Status.phase2_pivots
       st.Lp.Status.dual_pivots st.Lp.Status.refactorizations
       st.Lp.Status.eta_peak st.Lp.Status.bound_flips
       (Lp.Status.warm_start_outcome_name st.Lp.Status.warm_start)
-      repair_rounds
   in
   let n = List.length s.per_slot in
   List.iteri
@@ -335,8 +298,6 @@ let to_json s =
   field "iteration_ratio" (json_float (iteration_ratio s));
   field "cold_ms" (json_float s.cold_ms);
   field "warm_ms" (json_float s.warm_ms);
-  field "warm_accepted" (string_of_int s.warm_accepted);
-  field "warm_repaired" (string_of_int s.warm_repaired);
   field "warm_fell_back" (string_of_int s.warm_fell_back);
   field "dual_reopts" (string_of_int s.dual_reopts);
   field "dual_pivots" (string_of_int s.dual_pivots);
@@ -346,10 +307,9 @@ let to_json s =
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
-(* Scale sweep: per-size cold / primal-warm / dual-reopt curves, so every
-   later perf PR has a curve to move. Each point replays one online run
-   and solves every re-opt slot's program three ways — from scratch, warm
-   through the primal crash (dual re-opt disabled), and warm through the
+(* Scale sweep: per-size cold / dual-reopt curves, so every later
+   performance change has a curve to move. Each point replays one online run and solves
+   every re-opt slot's program twice — from scratch, and warm through the
    dual simplex — chained on a single carried basis. A wall-clock budget
    per point truncates the biggest instances rather than stalling the
    sweep; truncation is recorded, never silent. *)
@@ -359,19 +319,16 @@ type scale_point = {
   sp_slots : int;  (* slots requested; fewer may run under the budget *)
   sp_cols : int;  (* largest LP of the run *)
   sp_rows : int;
-  sp_reopt_slots : int;  (* slots (>= 1) actually timed three ways *)
+  sp_reopt_slots : int;  (* slots (>= 1) actually timed both ways *)
   sp_cold_iterations : int;
-  sp_primal_iterations : int;
   sp_dual_iterations : int;
   sp_cold_ms : float;
-  sp_primal_ms : float;
   sp_dual_ms : float;
   sp_dual_reopts : int;  (* dual-warm solves that ran the dual path *)
   sp_dual_phase1_pivots : int;  (* phase-1 pivots on dual-warm solves *)
   sp_cold_failures : int;  (* re-opt slots where the cold solve failed *)
-  sp_primal_failures : int;  (* same, primal-warm solve *)
   sp_dual_failures : int;  (* same, dual-warm solve *)
-  sp_max_objective_gap : float;  (* worst pairwise gap, all three solvers *)
+  sp_max_objective_gap : float;  (* worst cold/dual gap *)
   sp_truncated : bool;
 }
 
@@ -400,10 +357,10 @@ let run_scale_point ~nodes ~slots ~seed ~budget_ms =
   let carried : Basis_map.t option ref = ref None in
   let t_start = Unix.gettimeofday () in
   let cols = ref 0 and rows = ref 0 and reopt_slots = ref 0 in
-  let cold_iters = ref 0 and primal_iters = ref 0 and dual_iters = ref 0 in
-  let cold_ms = ref 0. and primal_ms = ref 0. and dual_ms = ref 0. in
+  let cold_iters = ref 0 and dual_iters = ref 0 in
+  let cold_ms = ref 0. and dual_ms = ref 0. in
   let dual_reopts = ref 0 and dual_phase1 = ref 0 in
-  let cold_fail = ref 0 and primal_fail = ref 0 and dual_fail = ref 0 in
+  let cold_fail = ref 0 and dual_fail = ref 0 in
   let max_gap = ref 0. in
   let truncated = ref false in
   let slot = ref 0 in
@@ -444,39 +401,29 @@ let run_scale_point ~nodes ~slots ~seed ~budget_ms =
                 seeds the chain. *)
              carried := cold_info.Formulate.basis
          | Some _ ->
-             let (primal, primal_info), p_ms =
-               timed (fun () ->
-                   Formulate.solve_with_info ?warm_start:!carried
-                     ~dual_reopt:false (make ()))
-             in
              let (dual, dual_info), d_ms =
                timed (fun () ->
                    Formulate.solve_with_info ?warm_start:!carried (make ()))
              in
              incr reopt_slots;
              cold_iters := !cold_iters + cold_info.Formulate.iterations;
-             primal_iters := !primal_iters + primal_info.Formulate.iterations;
              dual_iters := !dual_iters + dual_info.Formulate.iterations;
              cold_ms := !cold_ms +. c_ms;
-             primal_ms := !primal_ms +. p_ms;
              dual_ms := !dual_ms +. d_ms;
              let dstats = dual_info.Formulate.stats in
-             (match classify dstats.Lp.Status.warm_start with
-              | `Dual -> incr dual_reopts
-              | `Cold | `Accepted | `Repaired | `Fell_back -> ());
+             if classify dstats.Lp.Status.warm_start = `Dual then
+               incr dual_reopts;
              dual_phase1 := !dual_phase1 + dstats.Lp.Status.phase1_pivots;
              let failed = function
                | Formulate.Solver_failure _ -> 1
                | Formulate.Scheduled _ | Formulate.Infeasible -> 0
              in
              cold_fail := !cold_fail + failed cold;
-             primal_fail := !primal_fail + failed primal;
              dual_fail := !dual_fail + failed dual;
-             let oc = objective cold in
-             let gap o =
-               match (cold, o) with
+             let gap =
+               match (cold, dual) with
                | Formulate.Scheduled _, Formulate.Scheduled _ ->
-                   abs_float (oc -. objective o)
+                   abs_float (objective cold -. objective dual)
                | Formulate.Infeasible, Formulate.Infeasible -> 0.
                | Formulate.Solver_failure _, _ | _, Formulate.Solver_failure _
                  ->
@@ -489,9 +436,9 @@ let run_scale_point ~nodes ~slots ~seed ~budget_ms =
                       correctness bug; make the gap impossible to miss. *)
                    infinity
              in
-             max_gap := max !max_gap (max (gap primal) (gap dual));
+             max_gap := max !max_gap gap;
              (* The dual solve's basis carries the chain; the cold plan
-                is the one committed, so all three solvers face the same
+                is the one committed, so both solvers face the same
                 program sequence. *)
              carried := dual_info.Formulate.basis);
         match cold with
@@ -507,15 +454,12 @@ let run_scale_point ~nodes ~slots ~seed ~budget_ms =
     sp_rows = !rows;
     sp_reopt_slots = !reopt_slots;
     sp_cold_iterations = !cold_iters;
-    sp_primal_iterations = !primal_iters;
     sp_dual_iterations = !dual_iters;
     sp_cold_ms = !cold_ms;
-    sp_primal_ms = !primal_ms;
     sp_dual_ms = !dual_ms;
     sp_dual_reopts = !dual_reopts;
     sp_dual_phase1_pivots = !dual_phase1;
     sp_cold_failures = !cold_fail;
-    sp_primal_failures = !primal_fail;
     sp_dual_failures = !dual_fail;
     sp_max_objective_gap = !max_gap;
     sp_truncated = !truncated }
@@ -531,20 +475,17 @@ let scale_sweep ?(sizes = default_scale_sizes) ?(seed = 1)
 
 let pp_scale ppf s =
   Format.fprintf ppf
-    "  scale sweep: cold vs primal-warm vs dual-reopt (seed %d, budget %.0f \
-     ms/point)@."
+    "  scale sweep: cold vs dual re-opt (seed %d, budget %.0f ms/point)@."
     s.sc_seed s.sc_budget_ms;
-  Format.fprintf ppf "  %5s %5s %7s %6s %6s %9s %9s %9s %6s %6s %6s %5s@."
-    "DCs" "slots" "cols" "rows" "reopts" "cold ms" "prim ms" "dual ms"
-    "dualok" "ph1" "fails" "trunc";
+  Format.fprintf ppf "  %5s %5s %7s %6s %6s %9s %9s %6s %6s %6s %5s@." "DCs"
+    "slots" "cols" "rows" "reopts" "cold ms" "dual ms" "dualok" "ph1" "fails"
+    "trunc";
   List.iter
     (fun p ->
-      Format.fprintf ppf
-        "  %5d %5d %7d %6d %6d %9.1f %9.1f %9.1f %6d %6d %6s %5s@." p.sp_nodes
-        p.sp_slots p.sp_cols p.sp_rows p.sp_reopt_slots p.sp_cold_ms
-        p.sp_primal_ms p.sp_dual_ms p.sp_dual_reopts p.sp_dual_phase1_pivots
-        (Printf.sprintf "%d/%d/%d" p.sp_cold_failures p.sp_primal_failures
-           p.sp_dual_failures)
+      Format.fprintf ppf "  %5d %5d %7d %6d %6d %9.1f %9.1f %6d %6d %6s %5s@."
+        p.sp_nodes p.sp_slots p.sp_cols p.sp_rows p.sp_reopt_slots p.sp_cold_ms
+        p.sp_dual_ms p.sp_dual_reopts p.sp_dual_phase1_pivots
+        (Printf.sprintf "%d/%d" p.sp_cold_failures p.sp_dual_failures)
         (if p.sp_truncated then "yes" else "no"))
     s.sc_points;
   let worst =
@@ -570,17 +511,15 @@ let scale_to_json s =
         (Printf.sprintf
            "    {\"nodes\": %d, \"slots\": %d, \"cols\": %d, \"rows\": %d, \
             \"reopt_slots\": %d, \"cold_iterations\": %d, \
-            \"primal_warm_iterations\": %d, \"dual_reopt_iterations\": %d, \
-            \"cold_ms\": %s, \"primal_warm_ms\": %s, \"dual_reopt_ms\": %s, \
-            \"dual_reopts\": %d, \"dual_phase1_pivots\": %d, \
-            \"cold_failures\": %d, \"primal_warm_failures\": %d, \
+            \"dual_reopt_iterations\": %d, \"cold_ms\": %s, \
+            \"dual_reopt_ms\": %s, \"dual_reopts\": %d, \
+            \"dual_phase1_pivots\": %d, \"cold_failures\": %d, \
             \"dual_failures\": %d, \"max_objective_gap\": %s, \
             \"truncated\": %b}%s\n"
            p.sp_nodes p.sp_slots p.sp_cols p.sp_rows p.sp_reopt_slots
-           p.sp_cold_iterations p.sp_primal_iterations p.sp_dual_iterations
-           (json_float p.sp_cold_ms) (json_float p.sp_primal_ms)
+           p.sp_cold_iterations p.sp_dual_iterations (json_float p.sp_cold_ms)
            (json_float p.sp_dual_ms) p.sp_dual_reopts p.sp_dual_phase1_pivots
-           p.sp_cold_failures p.sp_primal_failures p.sp_dual_failures
+           p.sp_cold_failures p.sp_dual_failures
            (json_float p.sp_max_objective_gap) p.sp_truncated
            (if i = n - 1 then "" else ",")))
     s.sc_points;

@@ -1,7 +1,7 @@
 (** Cold-vs-warm simplex benchmark for the online scheduler.
 
     Replays a Sec. VII-style online run and solves every epoch's
-    time-expanded program twice: from scratch, and crashed from the
+    time-expanded program twice: from scratch, and warm-started from the
     previous epoch's optimal basis translated through
     {!Postcard.Basis_map}. The committed plan is always the cold one, so
     both solvers face identical programs; slot 0 has no previous basis and
@@ -34,14 +34,11 @@ type summary = {
   cold_ms : float;
   warm_ms : float;
   max_objective_gap : float;
-  warm_accepted : int;
-      (** Slots (>= 1) whose warm basis installed with no repair — via the
-          dual simplex ({!Lp.Status.Dual_reopt}) or a clean primal crash. *)
-  warm_repaired : int;  (** Slots that needed one or more repair rounds. *)
-  warm_fell_back : int;  (** Slots whose warm start was discarded. *)
+  warm_fell_back : int;
+      (** Slots (>= 1) whose warm start the solver re-solved cold. *)
   dual_reopts : int;
-      (** The subset of [warm_accepted] that re-optimized with the dual
-          simplex (zero phase-1 pivots, zero repair rounds). *)
+      (** Slots (>= 1) the dual simplex finished from the carried basis
+          ({!Lp.Status.Dual_reopt}: zero phase-1 pivots). *)
   dual_pivots : int;  (** Dual pivots over warm solves of slots >= 1. *)
   warm_phase1_pivots : int;
       (** Primal phase-1 pivots over the same warm solves (zero when
@@ -75,13 +72,12 @@ val to_json : summary -> string
 
 (** {2 Scale sweep}
 
-    Per-size cold / primal-warm / dual-reopt curves ([bench --scale],
-    written to [BENCH_scale.json]). Each point replays one online run and
-    solves every re-opt slot's program three ways, chained on a single
-    carried basis: from scratch, through the primal warm crash
-    ([~dual_reopt:false]), and through the dual simplex. The committed
-    plan is always the cold one, so the three solvers face identical
-    program sequences. *)
+    Per-size cold / dual-reopt curves ([bench --scale], written to
+    [BENCH_scale.json]). Each point replays one online run and solves
+    every re-opt slot's program twice, chained on a single carried basis:
+    from scratch, and through the dual simplex. The committed plan is
+    always the cold one, so both solvers face identical program
+    sequences. *)
 
 type scale_point = {
   sp_nodes : int;
@@ -90,10 +86,8 @@ type scale_point = {
   sp_rows : int;
   sp_reopt_slots : int;  (** Re-opt slots (>= 1) actually timed. *)
   sp_cold_iterations : int;
-  sp_primal_iterations : int;
   sp_dual_iterations : int;
   sp_cold_ms : float;
-  sp_primal_ms : float;
   sp_dual_ms : float;
   sp_dual_reopts : int;  (** Dual-warm solves that ran the dual path. *)
   sp_dual_phase1_pivots : int;
@@ -105,16 +99,15 @@ type scale_point = {
           exhaust its 200k-pivot budget where the dual re-opt still
           certifies optimality. Recorded explicitly, never folded into
           the gap. *)
-  sp_primal_failures : int;  (** Same, primal-warm solve. *)
   sp_dual_failures : int;
       (** Same, dual-warm solve; [bench --scale] fails loudly when any
           point reports a nonzero count. *)
   sp_max_objective_gap : float;
-      (** Worst pairwise objective gap across the three solvers, over
-          the solves that produced comparable outcomes (both scheduled,
-          or both infeasible). A feasibility disagreement forces it to
-          [infinity] so it cannot pass unnoticed; solver failures are
-          excluded here and counted in the [*_failures] fields. *)
+      (** Worst cold/dual objective gap, over the solves that produced
+          comparable outcomes (both scheduled, or both infeasible). A
+          feasibility disagreement forces it to [infinity] so it cannot
+          pass unnoticed; solver failures are excluded here and counted
+          in the [*_failures] fields. *)
   sp_truncated : bool;
       (** The wall-clock budget cut the run short (recorded, never
           silent). *)

@@ -8,12 +8,9 @@ type solve_tally = {
   phase2_pivots : int;
   dual_pivots : int;
   refactorizations : int;
-  repair_rounds : int;
   solve_ms : float;
   warm_cold : int;
-  warm_accepted : int;
   dual_reopts : int;
-  warm_repaired : int;
   warm_fell_back : int;
 }
 
@@ -24,12 +21,9 @@ let empty_tally =
     phase2_pivots = 0;
     dual_pivots = 0;
     refactorizations = 0;
-    repair_rounds = 0;
     solve_ms = 0.;
     warm_cold = 0;
-    warm_accepted = 0;
     dual_reopts = 0;
-    warm_repaired = 0;
     warm_fell_back = 0 }
 
 let add_tally a b =
@@ -39,12 +33,9 @@ let add_tally a b =
     phase2_pivots = a.phase2_pivots + b.phase2_pivots;
     dual_pivots = a.dual_pivots + b.dual_pivots;
     refactorizations = a.refactorizations + b.refactorizations;
-    repair_rounds = a.repair_rounds + b.repair_rounds;
     solve_ms = a.solve_ms +. b.solve_ms;
     warm_cold = a.warm_cold + b.warm_cold;
-    warm_accepted = a.warm_accepted + b.warm_accepted;
     dual_reopts = a.dual_reopts + b.dual_reopts;
-    warm_repaired = a.warm_repaired + b.warm_repaired;
     warm_fell_back = a.warm_fell_back + b.warm_fell_back }
 
 type slot_row = {
@@ -108,24 +99,15 @@ let float0 ev name = Option.value ~default:0. (Reader.float_field ev name)
 
 let tally_of_solve ev =
   let warm = Option.value ~default:"" (Reader.str_field ev "warm") in
-  let repairs = int0 ev "repair_rounds" in
   { solves = 1;
     pivots = int0 ev "iterations";
     phase1_pivots = int0 ev "phase1_pivots";
     phase2_pivots = int0 ev "phase2_pivots";
     dual_pivots = int0 ev "dual_pivots";
     refactorizations = int0 ev "refactorizations";
-    repair_rounds = repairs;
     solve_ms = float0 ev "ms";
     warm_cold = (if warm = "none" || warm = "" then 1 else 0);
-    (* "accepted clean": installed with zero repair rounds, whether the
-       dual simplex re-optimized or the primal crash landed as carried;
-       [dual_reopts] counts the dual subset separately. *)
-    warm_accepted =
-      (if warm = "dual_reopt" || (warm = "accepted" && repairs = 0) then 1
-       else 0);
     dual_reopts = (if warm = "dual_reopt" then 1 else 0);
-    warm_repaired = (if warm = "accepted" && repairs > 0 then 1 else 0);
     warm_fell_back = (if warm = "fell_back" then 1 else 0) }
 
 (* The engine emits strictly nested spans from a single thread, so a pair
@@ -345,16 +327,11 @@ let pp_run ppf run =
      %.2f ms solving, %.2f ms scheduling@,"
     t.solves t.pivots t.phase1_pivots t.refactorizations t.solve_ms
     (List.fold_left (fun acc r -> acc +. r.sched_ms) 0. run.rows);
+  Format.fprintf ppf "  solver: %d phase-1 + %d phase-2 + %d dual pivots@,"
+    t.phase1_pivots t.phase2_pivots t.dual_pivots;
   Format.fprintf ppf
-    "  solver: %d phase-1 + %d phase-2 + %d dual pivots, %d repair \
-     round%s@,"
-    t.phase1_pivots t.phase2_pivots t.dual_pivots t.repair_rounds
-    (if t.repair_rounds = 1 then "" else "s");
-  Format.fprintf ppf
-    "  re-opt outcomes: %d cold, %d accepted clean (%d via dual re-opt), \
-     %d repaired, %d fell back@,"
-    t.warm_cold t.warm_accepted t.dual_reopts t.warm_repaired
-    t.warm_fell_back;
+    "  re-opt outcomes: %d cold, %d dual re-opt, %d fell back@," t.warm_cold
+    t.dual_reopts t.warm_fell_back;
   (match (run.total_files, run.rejected_files) with
    | Some total, Some rej ->
        Format.fprintf ppf "  files: %d offered, %d rejected@," total rej
@@ -413,12 +390,9 @@ let tally_to_json t =
       ("phase2_pivots", Json.Int t.phase2_pivots);
       ("dual_pivots", Json.Int t.dual_pivots);
       ("refactorizations", Json.Int t.refactorizations);
-      ("repair_rounds", Json.Int t.repair_rounds);
       ("solve_ms", Json.Float t.solve_ms);
       ("warm_cold", Json.Int t.warm_cold);
-      ("warm_accepted", Json.Int t.warm_accepted);
       ("dual_reopts", Json.Int t.dual_reopts);
-      ("warm_repaired", Json.Int t.warm_repaired);
       ("warm_fell_back", Json.Int t.warm_fell_back) ]
 
 let opt f = function None -> Json.Null | Some v -> f v

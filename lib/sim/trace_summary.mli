@@ -4,8 +4,8 @@
     ["sim.run"]/["sim.slot"] spans with the ["lp.solve"] and
     ["sched.decision"] points nested inside them — and renders an ASCII
     report: the cost-vs-slot series, the per-slot pivot and wall-time
-    breakdown, a solver section (phase-1/phase-2/dual pivot split,
-    re-optimization outcomes and repair rounds per run), and a
+    breakdown, a solver section (phase-1/phase-2/dual pivot split and
+    re-optimization outcomes per run), and a
     reconciliation check of the per-slot series against the run's
     recorded final totals. *)
 
@@ -16,17 +16,10 @@ type solve_tally = {
   phase2_pivots : int;
   dual_pivots : int;  (** Dual-simplex re-optimization pivots. *)
   refactorizations : int;
-  repair_rounds : int;  (** Warm-install repair rounds over the slot. *)
   solve_ms : float;
   warm_cold : int;  (** Solves started without a warm basis. *)
-  warm_accepted : int;
-      (** Warm basis installed with no repair (dual re-opt or clean
-          primal crash). *)
-  dual_reopts : int;
-      (** The subset of [warm_accepted] re-optimized by the dual
-          simplex. *)
-  warm_repaired : int;  (** Warm basis installed after repair rounds. *)
-  warm_fell_back : int;  (** Warm basis discarded, solved cold. *)
+  dual_reopts : int;  (** Warm solves the dual simplex finished. *)
+  warm_fell_back : int;  (** Warm solves re-solved cold instead. *)
 }
 
 type slot_row = {

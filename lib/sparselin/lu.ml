@@ -364,7 +364,7 @@ let factorize ?col_order ~dim col =
   factorize_iter ?col_order ~dim (fun j f ->
       Array.iter (fun (r, v) -> f r v) (col j))
 
-(* Rank-revealing greedy pass used to repair a carried simplex basis: run
+(* Rank-revealing greedy pass used to install a carried simplex basis: run
    the same left-looking elimination over [ncols] candidate columns, but
    instead of failing on a column with no acceptable pivot, skip it. The
    threshold is far above the factorization's own (1e-13): a candidate that

@@ -50,7 +50,7 @@ val crash_select :
     of accepted candidates in elimination order, and the rows no accepted
     column pivoted — together they describe a nonsingular basis once the
     caller covers each unpivoted row with its slack or artificial column.
-    Used to repair a warm-start basis carried between LP solves. *)
+    Used to install a warm-start basis carried between LP solves. *)
 
 val dim : t -> int
 

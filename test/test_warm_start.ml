@@ -1,9 +1,9 @@
 (* Warm-started simplex: a carried basis may only save pivots, never
-   change the answer. The unit tests drive the repair ladder through its
-   branches (garbage bases, wrong shapes, singular crashes, deleted
-   columns); the property test replays randomized multi-slot online
-   instances and demands bit-level agreement of the outcome class and
-   1e-6 agreement of the objective. *)
+   change the answer. The unit tests feed the basis install odd inputs
+   (garbage bases, wrong shapes, singular crashes, deleted columns); the
+   property test replays randomized multi-slot online instances and
+   demands bit-level agreement of the outcome class and 1e-6 agreement
+   of the objective. *)
 
 module Model = Lp.Model
 module Status = Lp.Status
@@ -53,8 +53,8 @@ let test_warm_restart_same_model () =
 
 let test_garbage_all_basic () =
   (* Every column and every slack marked basic: far too many basics, and
-     x/y columns are dependent with the Eq row's fixed slack. The repair
-     ladder must prune to a nonsingular basis and still reach the cold
+     x/y columns are dependent with the Eq row's fixed slack. The crash
+     must prune to a nonsingular basis and the solve still reach the cold
      optimum. *)
   let m = sample_model () in
   let cold = get_opt (Lp.Simplex.solve m) in
