@@ -277,11 +277,11 @@ let ablation_deadline_heterogeneity ~pool () =
   Format.printf "  nearly tie (see EXPERIMENTS.md).@."
 
 (* ------------------------------------------------------------------ *)
-(* Warm-start macro-benchmark: cold vs warm-started simplex across an
-   online run (see DESIGN.md, "Warm-started LP pipeline"). *)
+(* Solver macro-benchmark: the two-phase referee vs the dual-first
+   simplex across an online run (see DESIGN.md, §4b). *)
 
-let solver_warm_bench ~pool ~json =
-  section "Solver warm start — cold vs carried-basis simplex";
+let solver_bench ~pool ~json =
+  section "Solver — two-phase referee vs dual first from the slack basis";
   let summary = Sim.Solver_bench.run ~nodes:6 ~slots:12 ~seed:1 ~pool () in
   Format.printf "%a" Sim.Solver_bench.pp_summary summary;
   (* The aggregate counters are recomputed from the per-slot records; a
@@ -307,23 +307,22 @@ let solver_warm_bench ~pool ~json =
   summary
 
 (* ------------------------------------------------------------------ *)
-(* Scale sweep: cold / dual-reopt iteration and wall-time curves as the
+(* Scale sweep: referee / dual-first iteration and wall-time curves as the
    topology and horizon grow (see EXPERIMENTS.md). *)
 
 let solver_scale_bench ~sizes ~budget_ms ~json =
-  section "Solver scale sweep — cold vs dual re-opt";
+  section "Solver scale sweep — two-phase referee vs dual first";
   let summary =
     Sim.Solver_bench.scale_sweep ?sizes ~seed:1 ?budget_ms ()
   in
   Format.printf "%a" Sim.Solver_bench.pp_scale summary;
-  let total_dual_reopts =
+  let total_dual_solves =
     List.fold_left
-      (fun acc p -> acc + p.Sim.Solver_bench.sp_dual_reopts)
+      (fun acc p -> acc + p.Sim.Solver_bench.sp_dual_solves)
       0 summary.Sim.Solver_bench.sc_points
   in
-  if total_dual_reopts = 0 then begin
-    Format.eprintf
-      "  BENCH FAILURE: no slot re-optimized via the dual simplex@.";
+  if total_dual_solves = 0 then begin
+    Format.eprintf "  BENCH FAILURE: no slot was solved on the dual path@.";
     exit 1
   end;
   let total_dual_failures =
@@ -332,7 +331,7 @@ let solver_scale_bench ~sizes ~budget_ms ~json =
       0 summary.Sim.Solver_bench.sc_points
   in
   if total_dual_failures > 0 then begin
-    Format.eprintf "  BENCH FAILURE: %d dual re-opt solve(s) failed@."
+    Format.eprintf "  BENCH FAILURE: %d dual-first solve(s) failed@."
       total_dual_failures;
     exit 1
   end;
@@ -751,13 +750,13 @@ let () =
   let spec =
     [ ("--json",
        Arg.String (fun p -> json := Some p),
-       "PATH  write the warm-start benchmark summary as JSON");
+       "PATH  write the solver benchmark summary as JSON");
       ("--json-runner",
        Arg.String (fun p -> json_runner := Some p),
        "PATH  write the runner scale-out summary as JSON");
       ("--scale",
        Arg.Set scale,
-       "  also run the solver scale sweep (cold vs dual re-opt)");
+       "  also run the solver scale sweep (referee vs dual first)");
       ("--scale-only",
        Arg.Set scale_only,
        "  run only the solver scale sweep (skip everything else)");
@@ -798,7 +797,7 @@ let () =
         recommended domain count)");
       ("--solver-only",
        Arg.Set solver_only,
-       "  run only the solver warm-start benchmark (skip the figures)");
+       "  run only the solver benchmark (skip the figures)");
       ("--log-level",
        Arg.String
          (fun s ->
@@ -849,7 +848,7 @@ let () =
       ablation_price_of_myopia ();
       extension_percentile_billing ()
     end;
-    ignore (solver_warm_bench ~pool ~json:!json);
+    ignore (solver_bench ~pool ~json:!json);
     if not !solver_only then
       tier_bench ?nodes:!tier_nodes ?slots:!tier_slots ?seed:!tier_seed
         ~json:!json_tier ();

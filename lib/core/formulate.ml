@@ -40,22 +40,11 @@ type result =
 type solve_info = {
   iterations : int;
   stats : Lp.Status.stats;
-  basis : Basis_map.t option;
 }
 
-let keymap t = Texp_lp.keymap t.program ~model:t.model
-
-let solve_with_info ?params ?warm_start t =
-  let warm_start =
-    match warm_start with
-    | None -> None
-    | Some carried -> Some (Basis_map.apply carried (keymap t))
-  in
-  let no_info = { iterations = 0; stats = Lp.Status.no_stats; basis = None } in
-  match
-    Obs.Span.with_ "core.solve" (fun () ->
-        Lp.Simplex.solve ?params ?warm_start t.model)
-  with
+let interpret t outcome =
+  let no_info = { iterations = 0; stats = Lp.Status.no_stats } in
+  match outcome with
   | Lp.Status.Infeasible -> (Infeasible, no_info)
   | Lp.Status.Unbounded ->
       (Solver_failure "unbounded Postcard program", no_info)
@@ -72,14 +61,11 @@ let solve_with_info ?params ?warm_start t =
           let objective = ref 0. in
           Graph.iter_arcs t.base (fun a ->
               objective := !objective +. (a.Graph.cost *. charged.(a.Graph.id)));
-          let basis =
-            match s.Lp.Status.basis with
-            | None -> None
-            | Some b -> Some (Basis_map.capture (keymap t) b)
-          in
           (Scheduled { plan; objective = !objective; charged },
-           { iterations = s.Lp.Status.iterations;
-             stats = s.Lp.Status.stats;
-             basis }))
+           { iterations = s.Lp.Status.iterations; stats = s.Lp.Status.stats }))
+
+let solve_with_info ?params t =
+  interpret t
+    (Obs.Span.with_ "core.solve" (fun () -> Lp.Simplex.solve ?params t.model))
 
 let solve ?params t = fst (solve_with_info ?params t)

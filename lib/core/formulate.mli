@@ -57,32 +57,21 @@ val horizon : t -> int
 
 val solve : ?params:Lp.Simplex.params -> t -> result
 
-val keymap : t -> Basis_map.keymap
-(** Structural keys of the program's columns and rows (see
-    {!Texp_lp.keymap}); useful with {!Basis_map.hit_rate} to measure how
-    much structure two epochs share. *)
-
 type solve_info = {
   iterations : int;  (** Simplex pivots spent ([0] unless [Scheduled]). *)
   stats : Lp.Status.stats;
       (** Full solver statistics of the underlying simplex run (phase
-          split, refactorizations, warm-start outcome, ...);
-          {!Lp.Status.no_stats} unless [Scheduled]. *)
-  basis : Basis_map.t option;
-      (** The optimal basis re-keyed by stable structural keys, ready to
-          warm-start the next epoch's program. *)
+          split, refactorizations, solve path, ...); {!Lp.Status.no_stats}
+          unless [Scheduled]. *)
 }
 
 val solve_with_info :
-  ?params:Lp.Simplex.params ->
-  ?warm_start:Basis_map.t ->
-  t ->
-  result * solve_info
-(** Like {!solve}, additionally accepting the previous epoch's captured
-    basis ([warm_start] is translated onto this program's columns and rows
-    before the solve) and returning solver diagnostics plus this solve's
-    own captured basis. When the translated basis installs dual-feasibly
-    — the common case when only arrivals/faults changed the RHS — the
-    solve re-optimizes with the dual simplex ({!Lp.Status.Dual_reopt}:
-    zero phase-1 pivots); otherwise it is solved cold (see
-    {!Lp.Simplex.solve}). [solve] is [fun t -> fst (solve_with_info t)]. *)
+  ?params:Lp.Simplex.params -> t -> result * solve_info
+(** Like {!solve}, additionally returning solver diagnostics.
+    [solve] is [fun t -> fst (solve_with_info t)]. *)
+
+val interpret : t -> Lp.Status.outcome -> result * solve_info
+(** Read an outcome of solving {!model} back as a plan and diagnostics:
+    what {!solve_with_info} does after its solve. Lets a caller solve the
+    program with another solver, such as the two-phase referee
+    {!Lp.Simplex.solve_two_phase}, and compare results. *)

@@ -7,12 +7,11 @@
     rest fits; dropped files are reported as rejected. *)
 
 val make : unit -> Scheduler.t
-(** Each epoch's optimal simplex basis — re-keyed by the stable structural
-    keys of {!Basis_map} — warm-starts the next epoch's solve, which
-    typically cuts the pivot count by a large factor on sliding-horizon
-    workloads. Every epoch's plan is optimal for that epoch's program,
-    warm or cold; but Postcard programs are massively degenerate, so warm
-    and cold solves may pick different cost-equal vertices, and
-    committing a different optimal plan can nudge later epochs' programs
-    — simulated cost trajectories therefore agree per epoch in
-    optimality, not bit-for-bit across solver variants. *)
+(** The scheduler carries no solver state between epochs: each epoch's
+    program, and each admission-control re-solve, is solved dual-first
+    from the slack basis ({!Lp.Simplex.solve}). Every epoch's plan is
+    optimal for that epoch's program; but Postcard programs are massively
+    degenerate, so two solver variants may pick different cost-equal
+    vertices, and committing a different optimal plan can nudge later
+    epochs' programs. Simulated cost trajectories therefore agree across
+    solver variants per epoch in optimality, not bit for bit. *)

@@ -62,8 +62,8 @@ val create :
     model (capacity-only validation) rather than slot-accurate
     store-and-forward. [admit], when given, is the incremental fast path;
     it must agree with [schedule] on singleton batches. [reset] (default
-    no-op) clears cross-epoch state (e.g. a carried simplex basis) — the
-    engine calls it once at the start of every run. *)
+    no-op) clears cross-epoch state, such as a cache a strategy keeps
+    between epochs; the engine calls it once at the start of every run. *)
 
 val stateless :
   name:string -> fluid:bool -> (context -> File.t list -> outcome) -> t
@@ -111,9 +111,8 @@ val tiered :
     Every strategy registers a {e factory}, not a value: [make] returns a
     fresh scheduler on every call, so callers that run many simulations
     concurrently (the domain-parallel experiment runner) can give each
-    cell its own instance — scheduler values carry mutable cross-epoch
-    state (e.g. a warm-start basis) and must never be shared between
-    domains. The built-ins (postcard, flow-based and its two ablation
+    cell its own instance — scheduler values may carry mutable
+    cross-epoch state and must never be shared between domains. The built-ins (postcard, flow-based and its two ablation
     variants, direct, greedy-snf, burst-95, ledger, postcard-tiered)
     self-register when the library is linked. *)
 

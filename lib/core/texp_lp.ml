@@ -10,9 +10,6 @@ type t = {
   texp : Texp.t;
   (* m_vars.(fi): expanded arc id -> variable, for arcs usable by file fi. *)
   m_vars : (int, Model.var) Hashtbl.t array;
-  (* Stable structural keys of every column/row this formulation created,
-     for translating simplex bases across epochs. *)
-  registry : Basis_map.Registry.t;
 }
 
 let texp t = t.texp
@@ -76,7 +73,6 @@ let build ~model ~base ~capacity ~files ~epoch ~flow_obj ~supply =
     && to_dst.(fi).(node) <= hi - layer
   in
   let m_vars = Array.map (fun _ -> Hashtbl.create 256) files in
-  let registry = Basis_map.Registry.create () in
   Array.iteri
     (fun fi f ->
       let lo = window_lo f and hi = window_hi f in
@@ -95,14 +91,6 @@ let build ~model ~base ~capacity ~files ~epoch ~flow_obj ~supply =
                && node_usable fi dst_node dst_layer
             then begin
               let v = Model.add_var model ~lb:0. ~ub:f.File.size ~obj () in
-              Basis_map.Registry.set_col registry v
-                (match kind with
-                 | Texp.Transmission { link; layer } ->
-                     Basis_map.Flow_tx
-                       { file = f.File.id; link; slot = epoch + layer }
-                 | Texp.Storage { node; layer } ->
-                     Basis_map.Flow_store
-                       { file = f.File.id; node; slot = epoch + layer });
               Hashtbl.replace m_vars.(fi) a.Graph.id v
             end
           end))
@@ -148,12 +136,8 @@ let build ~model ~base ~capacity ~files ~epoch ~flow_obj ~supply =
                   in
                   (extra @ !terms, 0.)
             in
-            if terms <> [] || rhs <> 0. then begin
-              let row = Model.add_constraint model terms Model.Eq rhs in
-              Basis_map.Registry.set_row registry row
-                (Basis_map.Conservation
-                   { file = f.File.id; node; slot = epoch + layer })
-            end
+            if terms <> [] || rhs <> 0. then
+              ignore (Model.add_constraint model terms Model.Eq rhs)
           end
         done
       done)
@@ -171,22 +155,11 @@ let build ~model ~base ~capacity ~files ~epoch ~flow_obj ~supply =
           m_vars;
         if !terms <> [] then begin
           let cap = capacity ~link:a.Graph.id ~layer in
-          if cap < infinity then begin
-            let row = Model.add_constraint model !terms Model.Le cap in
-            Basis_map.Registry.set_row registry row
-              (Basis_map.Capacity { link = a.Graph.id; slot = epoch + layer })
-          end
+          if cap < infinity then
+            ignore (Model.add_constraint model !terms Model.Le cap)
         end)
   done;
-  (match supply with
-   | `Full -> ()
-   | `Elastic v ->
-       Array.iteri
-         (fun fi sv ->
-           Basis_map.Registry.set_col registry sv
-             (Basis_map.Supply { file = files.(fi).File.id }))
-         v);
-  { base; files; epoch; horizon; texp; m_vars; registry }
+  { base; files; epoch; horizon; texp; m_vars }
 
 let add_charge_coupling ~model t ~charged ~x_obj =
   if Array.length charged <> Graph.num_arcs t.base then
@@ -194,13 +167,7 @@ let add_charge_coupling ~model t ~charged ~x_obj =
   let x_vars =
     Array.init (Graph.num_arcs t.base) (fun l ->
         let a = Graph.arc t.base l in
-        let v =
-          Model.add_var model ~lb:charged.(l)
-            ~obj:(x_obj ~cost:a.Graph.cost)
-            ()
-        in
-        Basis_map.Registry.set_col t.registry v (Basis_map.Charge { link = l });
-        v)
+        Model.add_var model ~lb:charged.(l) ~obj:(x_obj ~cost:a.Graph.cost) ())
   in
   for layer = 0 to t.horizon - 1 do
     Graph.iter_arcs t.base (fun a ->
@@ -212,16 +179,11 @@ let add_charge_coupling ~model t ~charged ~x_obj =
             | Some v -> terms := (v, 1.) :: !terms
             | None -> ())
           t.m_vars;
-        if !terms <> [] then begin
-          let row =
-            Model.add_constraint model
-              ((x_vars.(a.Graph.id), -1.) :: !terms)
-              Model.Le 0.
-          in
-          Basis_map.Registry.set_row t.registry row
-            (Basis_map.Charge_dom
-               { link = a.Graph.id; slot = t.epoch + layer })
-        end)
+        if !terms <> [] then
+          ignore
+            (Model.add_constraint model
+               ((x_vars.(a.Graph.id), -1.) :: !terms)
+               Model.Le 0.))
   done;
   x_vars
 
@@ -253,8 +215,6 @@ let extract_plan t ~primal =
         t.m_vars.(fi))
     t.files;
   { Plan.transmissions = !transmissions; holdovers = !holdovers }
-
-let keymap t ~model = Basis_map.Registry.keymap t.registry ~model
 
 let extract_supplies t ~primal vars =
   ignore t;

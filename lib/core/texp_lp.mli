@@ -63,14 +63,6 @@ val add_charge_coupling :
     add the dominance rows [sum_k M^k_ijn <= X_ij] for every layer. Returns
     the X variables indexed by base arc id. *)
 
-val keymap : t -> model:Lp.Model.t -> Basis_map.keymap
-(** Structural keys of every column and row of [model] (variables and rows
-    created by this skeleton get {!Basis_map} flow/conservation/capacity
-    keys, including the charge columns and dominance rows of
-    {!add_charge_coupling}; anything the caller added on top is keyed
-    anonymously). Use with {!Basis_map.capture}/{!Basis_map.apply} to carry
-    a simplex basis from one epoch's LP to the next. *)
-
 val extract_plan : t -> primal:float array -> Plan.t
 (** Read the optimal fractions back into a slot-accurate plan (absolute
     slots). *)

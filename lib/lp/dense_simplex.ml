@@ -262,8 +262,7 @@ let solve ?(max_iterations = 100_000) model =
           dual = Array.make (Model.num_rows model) 0.;
           reduced_costs = Array.make n 0.;
           iterations = !iterations;
-          stats = Status.no_stats;
-          basis = None }
+          stats = Status.no_stats }
     end
   with
   | Unbounded_lp -> Status.Unbounded

@@ -43,8 +43,7 @@ let solve ?(max_iterations = 100) ?(tolerance = 1e-8) model =
         dual = Array.make (Model.num_rows model) 0.;
         reduced_costs = Array.make (Model.num_vars model) 0.;
         iterations = 0;
-        stats = Status.no_stats;
-        basis = None }
+        stats = Status.no_stats }
   else begin
     let at = Dense.transpose a in
     (* Starting point: positive x and s at a data-driven scale. *)
@@ -84,8 +83,7 @@ let solve ?(max_iterations = 100) ?(tolerance = 1e-8) model =
                     Array.init (Model.num_vars model) (fun v ->
                         if v < Array.length z then z.(v) else 0.));
                  iterations = !iterations;
-                 stats = Status.no_stats;
-                 basis = None };
+                 stats = Status.no_stats };
            raise Exit
          end;
          (* Divergence guard. *)

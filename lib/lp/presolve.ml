@@ -166,8 +166,5 @@ let solve ?params model =
               dual;
               reduced_costs;
               iterations = s.Status.iterations;
-              stats = s.Status.stats;
-              (* Postsolve re-adds eliminated variables/rows, so the
-                 reduced model's basis does not transfer. *)
-              basis = None }
+              stats = s.Status.stats }
       | (Status.Infeasible | Status.Unbounded | Status.Iteration_limit) as o -> o)

@@ -68,7 +68,7 @@ type state = {
   mutable bound_flips : int;
   mutable total_perturbations : int;
   mutable bland_used : bool;
-  mutable warm : Status.warm_start_outcome;
+  mutable path : Status.solve_path;
   rng : Prelude.Rng.t;
       (* Seeded per solve: randomized entering choices during stalls are
          deterministic across runs. *)
@@ -549,8 +549,14 @@ let run_phase st =
    with Exit -> ());
   !result
 
-let initialize ?params:(p = default_params) sf =
+(* The starting state. Structurals are parked at a finite bound, or at
+   zero when free. With [slack] the basis is the identity of the logical
+   columns, and the artificials sit nonbasic at zero; otherwise it is the
+   artificial diagonal, signed so that every artificial starts
+   non-negative. Either way the initial factorization is of a diagonal. *)
+let initialize ?params:(p = default_params) ~slack sf =
   let m = sf.Standard_form.n_rows in
+  let n = sf.Standard_form.n_struct in
   let tot = Standard_form.total_vars sf in
   let nall = tot + m in
   let lb = Array.make nall 0. and ub = Array.make nall 0. in
@@ -572,29 +578,34 @@ let initialize ?params:(p = default_params) sf =
       x.(j) <- 0.
     end
   done;
-  (* Residuals determine the artificial signs so that artificial values
-     start non-negative. *)
-  let resid = Array.copy sf.Standard_form.b in
-  for j = 0 to tot - 1 do
-    let xj = x.(j) in
-    if xj <> 0. then
-      Csc.iter_col sf.Standard_form.a j (fun i v ->
-          resid.(i) <- resid.(i) -. (v *. xj))
-  done;
   let art_sign = Array.make m 1. in
-  let basis = Array.init m (fun i -> tot + i) in
+  let basis = Array.init m (fun i -> if slack then n + i else tot + i) in
   for i = 0 to m - 1 do
-    if resid.(i) < 0. then art_sign.(i) <- -1.;
     let art = tot + i in
     lb.(art) <- 0.;
     ub.(art) <- infinity;
-    status.(art) <- Basic;
-    x.(art) <- abs_float resid.(i)
+    if slack then status.(n + i) <- Basic else status.(art) <- Basic
   done;
-  (* The initial basis is the artificial diagonal, whose factorization is
-     immediate. *)
+  if not slack then begin
+    (* Residuals determine the artificial signs so that artificial values
+       start non-negative. *)
+    let resid = Array.copy sf.Standard_form.b in
+    for j = 0 to tot - 1 do
+      let xj = x.(j) in
+      if xj <> 0. then
+        Csc.iter_col sf.Standard_form.a j (fun i v ->
+            resid.(i) <- resid.(i) -. (v *. xj))
+    done;
+    for i = 0 to m - 1 do
+      if resid.(i) < 0. then art_sign.(i) <- -1.;
+      x.(tot + i) <- abs_float resid.(i)
+    done
+  end;
   let lu0 =
-    match Lu.factorize ~dim:m (fun k -> [| (k, art_sign.(k)) |]) with
+    match
+      Lu.factorize ~dim:m (fun k ->
+          [| (k, if slack then 1. else art_sign.(k)) |])
+    with
     | Ok lu -> lu
     | Error (Lu.Singular _) -> assert false
   in
@@ -622,7 +633,7 @@ let initialize ?params:(p = default_params) sf =
     bound_flips = 0;
     total_perturbations = 0;
     bland_used = false;
-    warm = Status.No_warm_start;
+    path = (if slack then Status.Dual else Status.Two_phase);
     rng = Prelude.Rng.of_int (0x5ca1ab1e + m + tot) }
 
 let phase1_needed st =
@@ -683,14 +694,7 @@ let solve_stats st =
     bound_flips = st.bound_flips;
     perturbations = st.total_perturbations;
     bland = st.bland_used;
-    warm_start = st.warm }
-
-let export_status st j =
-  match st.status.(j) with
-  | Basic -> Status.Basis.Basic
-  | At_lower -> Status.Basis.At_lower
-  | At_upper -> Status.Basis.At_upper
-  | At_zero_free -> Status.Basis.Free
+    path = st.path }
 
 let extract_solution st =
   let sf = st.sf in
@@ -704,160 +708,85 @@ let extract_solution st =
   for j = 0 to st.tot - 1 do
     obj_sf := !obj_sf +. (sf.Standard_form.cost.(j) *. st.x.(j))
   done;
-  let basis =
-    Status.Basis.make
-      ~cols:(Array.init n (fun j -> export_status st j))
-      ~rows:(Array.init st.m (fun i -> export_status st (n + i)))
-  in
   { Status.objective = Standard_form.model_objective sf !obj_sf;
     primal; dual; reduced_costs = reduced;
     iterations = st.iterations;
-    stats = solve_stats st;
-    basis = Some basis }
+    stats = solve_stats st }
 
 (* ------------------------------------------------------------------ *)
-(* Warm start: dual simplex re-optimization, then cold.
+(* Dual-first solve from the slack basis.
 
-   After a slot-to-slot or post-strand re-solve only the RHS and bounds
-   of the program change, so the previous optimal basis — translated
-   through Basis_map — stays *dual* feasible: its reduced costs still
-   have optimal signs, only some basic values drifted outside their
-   bounds. The dual simplex restores primal feasibility directly, with
-   zero phase-1 pivots: each pivot picks the most infeasible basic
-   variable to leave (dual Devex row weights) and a bounded-variable
-   two-pass ratio test over the pivot row picks the entering column that
-   keeps the reduced-cost signs intact. When no column can enter, the
-   leaving row is a Farkas candidate, checked independently by
-   [certifies_infeasibility].
+   Every row of the standard form has a logical column with coefficient
+   1, so the all-logical basis is B = I. Its cost multipliers are zero
+   and every reduced cost is the column's own cost. The structurals stay
+   parked where [initialize] put them: at a finite bound, or at zero when
+   free. Postcard's costs are non-negative over finite lower bounds, so
+   that start is already dual feasible. The dual simplex then restores
+   primal feasibility with no phase 1: each pivot picks the most
+   infeasible basic variable to leave (dual Devex row weights), and a
+   bounded-variable two-pass ratio test over the pivot row picks the
+   entering column that keeps the reduced-cost signs intact. When no
+   column can enter, the leaving row is a Farkas candidate, checked
+   independently by [certifies_infeasibility].
 
-   The machinery below shares everything with the primal: the LU/eta
-   file, [apply_step], the reduced-cost update (the same rank-one
-   formula as [pivot_update], against the stored pivot row instead of a
-   second BTRAN), and the refactorization schedule. Cost perturbation is
-   *not* used — it would destroy the dual feasibility the method lives
-   on — so persistent dual degeneracy trips a stall counter. Anything the
-   dual path cannot finish is re-solved cold. *)
+   A nonbasic column whose reduced cost has the wrong sign, at the start
+   or after drift, is flipped to its other bound when that bound is
+   finite; otherwise its entry of [st.cost] is shifted by -d_j so that
+   d_j = 0 (cost shifting, as in A. Koberstein, "The dual simplex method,
+   techniques for a fast and stable implementation", 2005). [cost_orig]
+   keeps the true costs; they come back before the closing primal
+   phase 2, which pivots out whatever a shift hid.
 
-(* Park nonbasic column [j] consistently with a carried status,
-   preferring the carried bound when it exists. *)
-let park_nonbasic st j (ws : Status.Basis.var_status) =
-  let at_lower () =
-    st.status.(j) <- At_lower;
-    st.x.(j) <- st.lb.(j)
-  and at_upper () =
-    st.status.(j) <- At_upper;
-    st.x.(j) <- st.ub.(j)
-  and free () =
-    st.status.(j) <- At_zero_free;
-    st.x.(j) <- 0.
+   The machinery is shared with the primal: the LU/eta file,
+   [apply_step], the reduced-cost update (the same rank-one formula as
+   [pivot_update], against the stored pivot row instead of a second
+   BTRAN), and the refactorization schedule. Cost perturbation is *not*
+   used, as it would destroy the dual feasibility the method lives on,
+   so persistent dual degeneracy trips a stall counter. Anything the dual
+   path cannot finish is solved again by the two-phase primal. *)
+
+(* The flip-or-shift rule over every nonbasic column. Returns true when a
+   column flipped, so the caller recomputes the basic values. *)
+let restore_dual_feasibility st =
+  let dtol = st.p.dual_tolerance in
+  let flipped = ref false and shifted = ref 0 in
+  let shift j =
+    st.cost.(j) <- st.cost.(j) -. st.d.(j);
+    st.d.(j) <- 0.;
+    incr shifted
   in
-  match ws with
-  | Status.Basis.At_upper when st.ub.(j) < infinity -> at_upper ()
-  | Status.Basis.At_upper | Status.Basis.At_lower | Status.Basis.Basic
-  | Status.Basis.Free ->
-      if st.lb.(j) > neg_infinity then at_lower ()
-      else if st.ub.(j) < infinity then at_upper ()
-      else free ()
+  for j = 0 to st.nall - 1 do
+    if st.lb.(j) < st.ub.(j) then
+      match st.status.(j) with
+      | At_lower when st.d.(j) < -.dtol ->
+          if st.ub.(j) < infinity then begin
+            st.status.(j) <- At_upper;
+            st.x.(j) <- st.ub.(j);
+            flipped := true
+          end
+          else shift j
+      | At_upper when st.d.(j) > dtol ->
+          if st.lb.(j) > neg_infinity then begin
+            st.status.(j) <- At_lower;
+            st.x.(j) <- st.lb.(j);
+            flipped := true
+          end
+          else shift j
+      | At_zero_free when abs_float st.d.(j) > dtol -> shift j
+      | At_lower | At_upper | At_zero_free | Basic -> ()
+  done;
+  if !shifted > 0 then
+    Log.debug (fun m -> m "dual simplex: shifted %d cost(s)" !shifted);
+  !flipped
 
-(* Install a carried basis for dual re-optimization: park nonbasics at
-   their carried bounds, crash the basic-marked columns through
-   {!Lu.crash_select} (dependent ones are parked, uncovered rows get an
-   artificial; out-of-bound *basic* values are the dual's job, not a
-   defect), move straight to phase-2 costs, and verify dual feasibility
-   of the nonbasic reduced costs, bound-flipping any violator with a
-   finite opposite bound. Returns false when the basis cannot be used
-   (dimension mismatch, a singular factorization, or a dual
-   infeasibility that cannot be flipped away). *)
-let try_dual_reopt st (wb : Status.Basis.t) =
-  let n = st.sf.Standard_form.n_struct in
-  if Status.Basis.num_cols wb <> n || Status.Basis.num_rows wb <> st.m then
-    false
-  else begin
-    let wanted j =
-      if j < n then Status.Basis.col_status wb j
-      else Status.Basis.row_status wb (j - n)
-    in
-    let candidates = ref [] in
-    for j = st.tot - 1 downto 0 do
-      match wanted j with
-      | Status.Basis.Basic -> candidates := j :: !candidates
-      | ws -> park_nonbasic st j ws
-    done;
-    (* Artificials start nonbasic at zero; the crash re-adds the ones it
-       needs to cover rows the carried basis left unpivoted. *)
-    for i = 0 to st.m - 1 do
-      let a = st.tot + i in
-      st.status.(a) <- At_lower;
-      st.x.(a) <- 0.
-    done;
-    let cands = Array.of_list !candidates in
-    let accepted, unpivoted =
-      Lu.crash_select ~dim:st.m ~ncols:(Array.length cands) (fun k f ->
-          iter_column st cands.(k) f)
-    in
-    let kept = Array.make (Array.length cands) false in
-    Array.iter (fun k -> kept.(k) <- true) accepted;
-    Array.iteri
-      (fun k j -> if not kept.(k) then park_nonbasic st j Status.Basis.At_lower)
-      cands;
-    let pos = ref 0 in
-    Array.iter
-      (fun k ->
-        let j = cands.(k) in
-        st.basis.(!pos) <- j;
-        st.status.(j) <- Basic;
-        incr pos)
-      accepted;
-    Array.iter
-      (fun r ->
-        let a = st.tot + r in
-        st.basis.(!pos) <- a;
-        st.status.(a) <- Basic;
-        incr pos)
-      unpivoted;
-    assert (!pos = st.m);
-    match factorize st with
-    | exception Numerical_failure -> false
-    | () ->
-        (* Straight to phase-2 costs: artificials freeze at [0,0] (a
-           basic one left at a nonzero value is just another primal
-           infeasibility for the dual to drive out, and a frozen
-           nonbasic one can never enter). *)
-        setup_phase2 st;
-        recompute_basics st;
-        refresh_reduced_costs st;
-        let dtol = st.p.dual_tolerance in
-        let ok = ref true and flipped = ref false in
-        for j = 0 to st.nall - 1 do
-          if !ok && st.status.(j) <> Basic && st.lb.(j) < st.ub.(j) then
-            match st.status.(j) with
-            | At_lower ->
-                if st.d.(j) < -.dtol then begin
-                  if st.ub.(j) < infinity then begin
-                    st.status.(j) <- At_upper;
-                    st.x.(j) <- st.ub.(j);
-                    flipped := true
-                  end
-                  else ok := false
-                end
-            | At_upper ->
-                if st.d.(j) > dtol then begin
-                  if st.lb.(j) > neg_infinity then begin
-                    st.status.(j) <- At_lower;
-                    st.x.(j) <- st.lb.(j);
-                    flipped := true
-                  end
-                  else ok := false
-                end
-            | At_zero_free -> if abs_float st.d.(j) > dtol then ok := false
-            | Basic -> ()
-        done;
-        if not !ok then false
-        else begin
-          if !flipped then recompute_basics st;
-          true
-        end
-  end
+(* Install the slack basis over a state [initialize ~slack:true] built:
+   phase-2 costs (artificials frozen at [0,0], so none can enter), basic
+   values, reduced costs, and the flip-or-shift rule. *)
+let install_slack_basis st =
+  setup_phase2 st;
+  recompute_basics st;
+  refresh_reduced_costs st;
+  if restore_dual_feasibility st then recompute_basics st
 
 type dual_result =
   | Dual_optimal  (** Primal feasibility restored; polish and extract. *)
@@ -865,10 +794,74 @@ type dual_result =
       (** Pass 1 of the ratio test found no entering column: [st.rho]
           holds row r of the basis inverse, a Farkas candidate. *)
   | Dual_gave_up of string
-      (** Pass 2 found no candidate, a stall, or the iteration limit; the
-          string names which, for the debug log. *)
+      (** Pass 2 came up empty twice without a pivot between, a stall,
+          or the iteration limit; the string names which, for the debug
+          log. *)
 
-(* The dual iteration over a state prepared by [try_dual_reopt]. Raises
+(* One dual pivot: column [enter] replaces the basic variable of row [r],
+   which leaves at its violated bound (the upper one when [above]).
+   [st.beta] holds the pivot row; [dw] are the dual Devex row weights.
+   Returns the dual step d_enter / alpha_r. *)
+let dual_pivot st dw ~r ~enter ~above =
+  st.iterations <- st.iterations + 1;
+  st.dual_pivots <- st.dual_pivots + 1;
+  let leaving = st.basis.(r) in
+  (* Entering column through the basis inverse: needed for the eta
+     update, the primal step and the row-weight update. *)
+  let alpha = st.alpha in
+  load_column st enter alpha;
+  ftran st alpha;
+  let alpha_r = alpha.(r) in
+  if abs_float alpha_r <= st.p.pivot_tolerance then raise Numerical_failure;
+  (* Reduced costs: the same rank-one update as a primal pivot, against
+     the stored pivot row. The frozen artificials are skipped here as in
+     the ratio test; the closing phase 2 rebuilds their reduced costs. *)
+  let step = st.d.(enter) /. alpha_r in
+  for j = 0 to st.tot - 1 do
+    if st.status.(j) <> Basic && j <> enter then begin
+      let b = st.beta.(j) in
+      if b <> 0. then st.d.(j) <- st.d.(j) -. (step *. b)
+    end
+  done;
+  st.d.(leaving) <- -.step;
+  st.d.(enter) <- 0.;
+  (* Primal step: the leaving variable travels exactly to its violated
+     bound; every other basic value follows. *)
+  let bound = if above then st.ub.(leaving) else st.lb.(leaving) in
+  let t = (st.x.(leaving) -. bound) /. alpha_r in
+  apply_step st ~alpha ~dir:1. ~enter ~t;
+  st.status.(leaving) <- (if above then At_upper else At_lower);
+  st.x.(leaving) <- bound;
+  st.basis.(r) <- enter;
+  st.status.(enter) <- Basic;
+  (* Dual Devex row weights, reference-framework style. *)
+  let wr = dw.(r) in
+  let too_big = ref false in
+  for i = 0 to st.m - 1 do
+    if i <> r && alpha.(i) <> 0. then begin
+      let q = alpha.(i) /. alpha_r in
+      let cand = q *. q *. wr in
+      if cand > dw.(i) then dw.(i) <- cand;
+      if dw.(i) > 1e8 then too_big := true
+    end
+  done;
+  dw.(r) <- max (wr /. (alpha_r *. alpha_r)) 1.;
+  if dw.(r) > 1e8 then too_big := true;
+  if !too_big then Array.fill dw 0 st.m 1.;
+  (match Eta.make ~pos:r ~alpha with
+   | eta -> push_eta st eta
+   | exception Invalid_argument _ ->
+       factorize st;
+       recompute_basics st;
+       refresh_reduced_costs st);
+  if st.n_etas >= st.p.refactor_frequency then begin
+    factorize st;
+    recompute_basics st;
+    refresh_reduced_costs st
+  end;
+  step
+
+(* The dual iteration over a state [install_slack_basis] prepared. Raises
    [Numerical_failure] like the primal loop; the caller falls back. *)
 let run_dual st =
   let feas = st.p.feasibility_tolerance in
@@ -877,6 +870,8 @@ let run_dual st =
   let dw = Array.make st.m 1. in
   let beta = st.beta in
   let stall = ref 0 in
+  (* Pass 2 came up empty since the last pivot, and drift was repaired. *)
+  let repaired = ref false in
   let result = ref Dual_optimal in
   (try
      while true do
@@ -925,11 +920,12 @@ let run_dual st =
           entry; the rest read zero. *)
        btran_unit st r;
        (* Pass 1 (Harris-style): relaxed bound on the dual step, letting
-          each reduced cost overshoot by the dual tolerance. *)
+          each reduced cost overshoot by the dual tolerance. Both passes
+          skip the artificials, frozen at [0,0] on this path. *)
        let ratio_sp = Obs.Span.begin_ "lp.ratio_test" in
        pivot_row st;
        let theta_max = ref infinity in
-       for j = 0 to st.nall - 1 do
+       for j = 0 to st.tot - 1 do
          if st.status.(j) <> Basic && st.lb.(j) < st.ub.(j) then begin
            let b = beta.(j) in
            let a = s *. b in
@@ -961,7 +957,7 @@ let run_dual st =
        (* Pass 2: among columns whose exact ratio fits under the relaxed
           step, the largest pivot magnitude wins (numerical stability). *)
        let enter = ref (-1) and enter_abs = ref 0. in
-       for j = 0 to st.nall - 1 do
+       for j = 0 to st.tot - 1 do
          if st.status.(j) <> Basic && st.lb.(j) < st.ub.(j) then begin
            let a = s *. beta.(j) in
            let ratio =
@@ -986,77 +982,34 @@ let run_dual st =
          end
        done;
        Obs.Span.end_ ratio_sp;
-       if !enter < 0 then begin
-         (* Only a reduced cost drifted past the dual tolerance can make
-            pass 2 come up empty after pass 1 bounded the step. Such a
-            row has not been seen to certify, so it goes unchecked. *)
-         result := Dual_gave_up "pass 2 found no entering column";
-         raise Exit
-       end;
-       let enter = !enter in
-       st.iterations <- st.iterations + 1;
-       st.dual_pivots <- st.dual_pivots + 1;
-       (* Entering column through the basis inverse: needed for the eta
-          update, the primal step and the row-weight update. *)
-       let alpha = st.alpha in
-       load_column st enter alpha;
-       ftran st alpha;
-       let alpha_r = alpha.(r) in
-       if abs_float alpha_r <= piv_tol then raise Numerical_failure;
-       (* Reduced costs: the same rank-one update as a primal pivot,
-          against the stored pivot row. A tiny dual step is a degenerate
-          pivot; without perturbation to lean on, a long run of them
-          means giving up (the fallback is a cold solve). *)
-       let step = st.d.(enter) /. alpha_r in
-       if abs_float step <= dtol then begin
-         incr stall;
-         if !stall > st.p.degenerate_switch then begin
-           result := Dual_gave_up "persistent dual degeneracy";
-           raise Exit
+       if !enter >= 0 then begin
+         repaired := false;
+         (* A tiny dual step is a degenerate pivot; without perturbation
+            to lean on, a long run of them means giving up. *)
+         let step = dual_pivot st dw ~r ~enter:!enter ~above in
+         if abs_float step <= dtol then begin
+           incr stall;
+           if !stall > st.p.degenerate_switch then begin
+             result := Dual_gave_up "persistent dual degeneracy";
+             raise Exit
+           end
          end
+         else stall := 0
        end
-       else stall := 0;
-       for j = 0 to st.nall - 1 do
-         if st.status.(j) <> Basic && j <> enter then begin
-           let b = beta.(j) in
-           if b <> 0. then st.d.(j) <- st.d.(j) -. (step *. b)
-         end
-       done;
-       st.d.(leaving) <- -.step;
-       st.d.(enter) <- 0.;
-       (* Primal step: the leaving variable travels exactly to its
-          violated bound; every other basic value follows. *)
-       let bound = if above then st.ub.(leaving) else st.lb.(leaving) in
-       let t = (st.x.(leaving) -. bound) /. alpha_r in
-       apply_step st ~alpha ~dir:1. ~enter ~t;
-       st.status.(leaving) <- (if above then At_upper else At_lower);
-       st.x.(leaving) <- bound;
-       st.basis.(r) <- enter;
-       st.status.(enter) <- Basic;
-       (* Dual Devex row weights, reference-framework style. *)
-       let wr = dw.(r) in
-       let too_big = ref false in
-       for i = 0 to st.m - 1 do
-         if i <> r && alpha.(i) <> 0. then begin
-           let q = alpha.(i) /. alpha_r in
-           let cand = q *. q *. wr in
-           if cand > dw.(i) then dw.(i) <- cand;
-           if dw.(i) > 1e8 then too_big := true
-         end
-       done;
-       dw.(r) <- max (wr /. (alpha_r *. alpha_r)) 1.;
-       if dw.(r) > 1e8 then too_big := true;
-       if !too_big then Array.fill dw 0 st.m 1.;
-       (match Eta.make ~pos:r ~alpha with
-        | eta -> push_eta st eta
-        | exception Invalid_argument _ ->
-            factorize st;
-            recompute_basics st;
-            refresh_reduced_costs st);
-       if st.n_etas >= st.p.refactor_frequency then begin
-         factorize st;
-         recompute_basics st;
-         refresh_reduced_costs st
+       else if !repaired then begin
+         result := Dual_gave_up "pass 2 found no entering column twice";
+         raise Exit
+       end
+       else begin
+         (* Only a reduced cost drifted past the dual tolerance can make
+            pass 2 come up empty after pass 1 bounded the step. Rebuild
+            the reduced costs, re-apply the flip-or-shift rule and price
+            again; a second empty pass before the next pivot gives up. *)
+         Log.debug (fun m ->
+             m "dual simplex: pass 2 found no entering column; repairing drift");
+         repaired := true;
+         refresh_reduced_costs st;
+         if restore_dual_feasibility st then recompute_basics st
        end
      done
    with Exit -> ());
@@ -1067,8 +1020,8 @@ let run_dual st =
    rho . b lies outside the range (A^T rho) . x takes over the bound box,
    no x does: the program is infeasible. A^T rho, b and the bounds are
    read from the standard form, never from the solver's mutated copies,
-   so a drifted basis can cost a cold re-solve but not a wrong verdict.
-   Artificial columns are absent: a feasible point has none. The
+   so a drifted basis can cost a two-phase re-solve but not a wrong
+   verdict. Artificial columns are absent: a feasible point has none. The
    tolerance matches phase 1's 1e-6 verdict, since a gap g forces
    ||A x - b||_1 >= g / max|rho_i| at every x in the box; its second
    term absorbs the rounding of the sums. *)
@@ -1096,12 +1049,12 @@ let certifies_infeasibility (sf : Standard_form.t) rho =
   let tol = (1e-6 *. !rho_max) +. (1e-9 *. !mag) in
   !rho_b > !hi +. tol || !rho_b < !lo -. tol
 
-(* Dual re-optimization driver over a state [try_dual_reopt] accepted.
-   Returns [Error reason] to request the cold fallback. On [Dual_optimal]
-   the state is primal feasible and (within tolerance) dual feasible, so
-   the closing primal polish typically prices out immediately — it
-   exists to wash out incremental drift and absorb any sub-tolerance
-   residue as ordinary phase-2 pivots. *)
+(* Dual-first driver over a state [install_slack_basis] prepared.
+   Returns [Error reason] to request the two-phase fallback. On
+   [Dual_optimal] the state is primal feasible and dual feasible for the
+   shifted costs; the closing primal phase 2 runs on the true costs. It
+   typically prices out at once: it exists to wash out incremental drift
+   and to pivot out any cost shift as ordinary phase-2 pivots. *)
 let drive_dual st =
   match Obs.Span.with_ "lp.dual" (fun () -> run_dual st) with
   | Dual_gave_up why -> Error why
@@ -1109,14 +1062,15 @@ let drive_dual st =
       if certifies_infeasibility st.sf st.rho then Ok Status.Infeasible
       else Error "blocked row failed the infeasibility certificate"
   | Dual_optimal -> (
+      Array.blit st.cost_orig 0 st.cost 0 st.nall;
       reset_phase_controls st;
       match Obs.Span.with_ "lp.phase2" (fun () -> run_phase st) with
       | Phase_optimal -> Ok (Status.Optimal (extract_solution st))
       | Phase_unbounded -> Ok Status.Unbounded
       | Phase_iteration_limit -> Ok Status.Iteration_limit)
 
-(* Two-phase driver over an initialized (cold or warm-started) state.
-   Raises [Numerical_failure] when the factorization engine gives up. *)
+(* Two-phase driver over a state [initialize ~slack:false] built. Raises
+   [Numerical_failure] when the factorization engine gives up. *)
 let drive st =
   let phase1_result =
     if phase1_needed st then
@@ -1156,7 +1110,6 @@ let m_solves = Obs.Metrics.counter "simplex.solves"
 let m_pivots = Obs.Metrics.counter "simplex.pivots"
 let m_refactorizations = Obs.Metrics.counter "simplex.refactorizations"
 let m_bound_flips = Obs.Metrics.counter "simplex.bound_flips"
-let m_dual_reopts = Obs.Metrics.counter "simplex.dual_reopts"
 let m_dual_pivots = Obs.Metrics.counter "simplex.dual_pivots"
 let m_warm_fell_back = Obs.Metrics.counter "simplex.warm_fell_back"
 let h_pivots = Obs.Metrics.histogram "simplex.pivots_per_solve"
@@ -1167,21 +1120,18 @@ let outcome_name = function
   | Status.Unbounded -> "unbounded"
   | Status.Iteration_limit -> "iteration_limit"
 
-let record_solve ~ms st outcome =
+let record_solve ~ms ~model st outcome =
   Obs.Metrics.incr m_solves;
   Obs.Metrics.add m_pivots st.iterations;
   Obs.Metrics.add m_refactorizations st.refactorizations;
   Obs.Metrics.add m_bound_flips st.bound_flips;
   Obs.Metrics.add m_dual_pivots st.dual_pivots;
-  (match st.warm with
-   | Status.No_warm_start -> ()
-   | Status.Dual_reopt -> Obs.Metrics.incr m_dual_reopts
-   | Status.Warm_fell_back -> Obs.Metrics.incr m_warm_fell_back);
   Obs.Metrics.observe h_pivots (float_of_int st.iterations);
   if Obs.Trace.enabled () then begin
     let s = solve_stats st in
     Obs.Trace.point "lp.solve"
       [ ("outcome", Obs.Trace.Str (outcome_name outcome));
+        ("model", Obs.Trace.Str (Model.name model));
         ("cols", Obs.Trace.Int st.sf.Standard_form.n_struct);
         ("rows", Obs.Trace.Int st.m);
         ("iterations", Obs.Trace.Int st.iterations);
@@ -1193,11 +1143,38 @@ let record_solve ~ms st outcome =
         ("bound_flips", Obs.Trace.Int s.Status.bound_flips);
         ("perturbations", Obs.Trace.Int s.Status.perturbations);
         ("bland", Obs.Trace.Bool s.Status.bland);
-        ("warm", Obs.Trace.Str (Status.warm_start_outcome_name st.warm));
+        ("path", Obs.Trace.Str (Status.solve_path_name st.path));
         ("ms", Obs.Trace.Float ms) ]
   end
 
-let solve ?params ?warm_start model =
+(* The two-phase primal from the artificial basis. *)
+let two_phase ?params sf =
+  let st = initialize ?params ~slack:false sf in
+  match drive st with
+  | outcome -> (outcome, st)
+  | exception Numerical_failure -> (Status.Iteration_limit, st)
+
+(* The dual simplex from the slack basis. Whatever it cannot finish (an
+   uncertified blocked row, two empty ratio-test passes in a row, a
+   stall, the iteration limit, a numerical failure) is solved again by
+   the two-phase primal on a fresh state, so the returned state is the
+   one that produced the outcome. *)
+let dual_first ?params sf =
+  let fall_back why =
+    Log.debug (fun m -> m "dual simplex: %s; solving two-phase" why);
+    Obs.Metrics.incr m_warm_fell_back;
+    two_phase ?params sf
+  in
+  let st = initialize ?params ~slack:true sf in
+  match
+    install_slack_basis st;
+    drive_dual st
+  with
+  | Ok outcome -> (outcome, st)
+  | Error why -> fall_back why
+  | exception Numerical_failure -> fall_back "numerical failure"
+
+let run_solve solver model =
   let solve_sp = Obs.Span.begin_ "lp.solve" in
   let t0 = Obs.Trace.now_ms () in
   let sf = Standard_form.of_model model in
@@ -1211,41 +1188,12 @@ let solve ?params ?warm_start model =
     Status.Infeasible
   end
   else begin
-    (* The state returned with the outcome is the one that produced it, so
-       the per-solve telemetry describes that run (after a warm fallback:
-       the cold rerun, flagged [Warm_fell_back]). *)
-    let cold ~warm =
-      let st = initialize ?params sf in
-      st.warm <- warm;
-      match drive st with
-      | outcome -> (outcome, st)
-      | exception Numerical_failure -> (Status.Iteration_limit, st)
-    in
-    (* Whatever the dual path cannot finish — an unusable basis, an
-       uncertified blocked row, an empty ratio-test pass 2, a stall, the
-       iteration limit, a numerical failure — is solved again from
-       scratch (a fresh state: the dual attempt froze artificial bounds,
-       which phase 1 must not inherit), so supplying a warm basis can
-       never produce a worse outcome class than not supplying one. *)
-    let fall_back why =
-      Log.debug (fun m -> m "dual re-opt: %s; solving cold" why);
-      cold ~warm:Status.Warm_fell_back
-    in
-    let outcome, st =
-      match warm_start with
-      | None -> cold ~warm:Status.No_warm_start
-      | Some wb -> (
-          let st = initialize ?params sf in
-          match try_dual_reopt st wb with
-          | false -> fall_back "carried basis unusable"
-          | true -> (
-              st.warm <- Status.Dual_reopt;
-              match drive_dual st with
-              | Ok outcome -> (outcome, st)
-              | Error why -> fall_back why
-              | exception Numerical_failure -> fall_back "numerical failure"))
-    in
-    record_solve ~ms:(Obs.Trace.now_ms () -. t0) st outcome;
+    let outcome, st = solver sf in
+    record_solve ~ms:(Obs.Trace.now_ms () -. t0) ~model st outcome;
     Obs.Span.end_ solve_sp;
     outcome
   end
+
+let solve ?params model = run_solve (dual_first ?params) model
+
+let solve_two_phase ?params model = run_solve (two_phase ?params) model

@@ -1,11 +1,32 @@
 (** Revised simplex method for linear programs with bounded variables,
-    with a dual-simplex re-optimization path for warm starts.
+    dual first.
 
-    The implementation is a primal, two-phase bounded-variable simplex:
+    Every solve starts from the slack basis: each row's logical column is
+    basic (B = I), and the structurals sit at a finite bound, or at zero
+    when free. A nonbasic column whose reduced cost has the wrong sign is
+    flipped to its other bound when that bound is finite; otherwise its
+    cost is shifted until the reduced cost is zero (cost shifting). The
+    start is then dual feasible, and a dual simplex restores primal
+    feasibility with no phase 1: most-infeasible leaving row under dual
+    Devex row weights, and a bounded-variable two-pass dual ratio test
+    over the pivot row. When reduced costs drift so that pass 2 of that
+    test comes up empty, they are rebuilt and the same flip-or-shift rule
+    is applied again, at most once between two pivots. A leaving row no
+    column can enter is a Farkas candidate: an independent bound check
+    over the standard form turns it into a certified [Infeasible]
+    verdict. On primal feasibility the true costs come back and a primal
+    phase 2 polishes the vertex, pivoting out whatever a shift hid.
+
+    Postcard's programs have non-negative costs over finite lower bounds,
+    so for them the slack basis is dual feasible as it stands.
+
+    Whatever the dual path cannot finish (an uncertified row, two empty
+    ratio-test passes in a row, a stall, the iteration limit, a numerical
+    failure) is solved again by the two-phase primal:
 
     - the basis inverse is maintained as a sparse {!Sparselin.Lu}
       factorization composed with a file of product-form {!Sparselin.Eta}
-      updates, refactorized periodically;
+      updates, refactorized periodically (shared with the dual path);
     - phase 1 drives explicit artificial variables (one per row) to zero;
     - pricing is Devex (reference-framework weights), the standard remedy
       for the massive dual degeneracy of network-structured programs;
@@ -17,21 +38,10 @@
       among near-tied ratios, and supports bound flips of the entering
       variable.
 
-    Warm starts additionally carry a dual simplex: when the supplied
-    basis installs dual-feasibly (the common case for slot-to-slot
-    re-solves, where only RHS/bounds changed), re-optimization runs dual
-    pivots — most-infeasible leaving row under dual Devex row weights, a
-    bounded-variable two-pass dual ratio test over the pivot row — and
-    never touches phase 1. A leaving row no column can enter is a Farkas
-    candidate: an independent bound check over the standard form turns
-    it into a certified [Infeasible] verdict. Anything else the dual path
-    cannot finish (a dual-infeasible install, an uncertified row,
-    persistent dual degeneracy, numerical failure) is solved cold.
-
     This solver is exact up to floating-point tolerances for any LP built
-    with {!Model}; the test suite cross-checks it against the independent
-    dense implementation in {!Dense_simplex} and against combinatorial
-    network-flow algorithms. *)
+    with {!Model}; the test suite cross-checks it against the two-phase
+    referee {!solve_two_phase}, the independent dense implementation in
+    {!Dense_simplex} and combinatorial network-flow algorithms. *)
 
 type params = {
   max_iterations : int;  (** Pivot budget across both phases. *)
@@ -46,22 +56,14 @@ type params = {
 
 val default_params : params
 
-val solve :
-  ?params:params ->
-  ?warm_start:Status.Basis.t ->
-  Model.t ->
-  Status.outcome
-(** Solve a model. The returned solution is expressed in the model's own
-    variable/row indexing and objective sense, and carries the optimal
-    basis ({!Status.solution.basis}).
+val solve : ?params:params -> Model.t -> Status.outcome
+(** Solve a model, dual first from the slack basis, falling back to the
+    two-phase primal (see above). The returned solution is expressed in
+    the model's own variable/row indexing and objective sense; its
+    {!Status.stats} name the path that produced it. Nothing is carried
+    between solves. *)
 
-    [warm_start] starts the solver from a basis captured by an earlier
-    solve (of this model or of a structurally similar one, translated onto
-    this model's indices). Dependent basic-marked columns are dropped
-    through {!Sparselin.Lu.crash_select} and uncovered rows get an
-    artificial column. A basis that then installs dual-feasibly
-    re-optimizes with the dual simplex (outcome {!Status.Dual_reopt},
-    zero phase-1 pivots), ending in an optimum or a certified
-    [Infeasible]; every other case is solved cold
-    ({!Status.Warm_fell_back}). Supplying a wrong or stale basis is always
-    safe: it can only cost iterations, never correctness. *)
+val solve_two_phase : ?params:params -> Model.t -> Status.outcome
+(** The two-phase primal alone, from the artificial basis: the referee
+    that tests and the scale bench compare {!solve} against. Production
+    code calls {!solve}. *)

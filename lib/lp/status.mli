@@ -1,54 +1,20 @@
 (** Solver outcome types shared by the revised simplex and the dense
     oracle. *)
 
-(** An exportable simplex basis: the status of every structural variable
-    and of every row's slack at a vertex. Captured from an optimal solve
-    and replayed — possibly onto a {e different} model, after translation
-    through {!Basis.make} — as the [?warm_start] argument of
-    {!Simplex.solve}. The warm-start machinery never trusts a basis: a
-    singular, truncated, or simply wrong basis at worst costs a cold
-    solve, so any statuses are safe to supply. *)
-module Basis : sig
-  type var_status =
-    | Basic
-    | At_lower  (** Nonbasic at its lower bound. *)
-    | At_upper  (** Nonbasic at its upper bound. *)
-    | Free  (** Nonbasic free variable (both bounds infinite), at zero. *)
-
-  type t
-
-  val make : cols:var_status array -> rows:var_status array -> t
-  (** [make ~cols ~rows] builds a basis for a model with
-      [Array.length cols] variables and [Array.length rows] rows; the
-      arrays are copied. *)
-
-  val num_cols : t -> int
-  val num_rows : t -> int
-
-  val col_status : t -> int -> var_status
-  (** Status of the [j]-th structural variable. *)
-
-  val row_status : t -> int -> var_status
-  (** Status of the [i]-th row's slack. *)
-
-  val count_basic : t -> int
-
-  val pp : Format.formatter -> t -> unit
-end
-
-(** How a carried warm-start basis fared (see {!Simplex.solve}). *)
-type warm_start_outcome =
-  | No_warm_start  (** No basis was supplied; the solve started cold. *)
-  | Dual_reopt
-      (** The basis installed dual-feasibly and the dual simplex
-          finished the solve with zero phase-1 pivots: an optimum, or an
-          [Infeasible] verdict certified by a Farkas row. The path for
-          slot-to-slot and post-strand re-solves, where only RHS/bounds
-          change. *)
-  | Warm_fell_back
-      (** The dual path could not finish (unusable basis, uncertified
-          row, stall, iteration limit or numerical failure); the reported
-          solve is the cold fallback. *)
+(** Which algorithm produced a revised-simplex answer (see
+    {!Simplex.solve}). *)
+type solve_path =
+  | Dual
+      (** The dual simplex from the slack basis finished the solve, then
+          a primal phase-2 polish on the true costs; zero phase-1
+          pivots. Its answer is an optimum, or an [Infeasible] verdict
+          certified by a Farkas row. *)
+  | Two_phase
+      (** The two-phase primal from the artificial basis produced the
+          answer: {!Simplex.solve}'s fallback when the dual path could
+          not finish (uncertified row, repeated drift, stall, iteration
+          limit or numerical failure), or {!Simplex.solve_two_phase}.
+          Solvers without instrumentation report it too ({!no_stats}). *)
 
 (** Per-solve effort record, filled in by the revised simplex. Solvers
     that do not track a statistic report its zero/default ({!no_stats});
@@ -58,8 +24,8 @@ type stats = {
   phase1_pivots : int;
   phase2_pivots : int;
   dual_pivots : int;
-      (** Dual-simplex re-optimization pivots ([Dual_reopt] solves only;
-          disjoint from the primal phase split, and
+      (** Dual-simplex pivots ([Dual] solves only; disjoint from the
+          primal phase split, and
           [phase1_pivots + phase2_pivots + dual_pivots = iterations]). *)
   refactorizations : int;
       (** Basis refactorizations after the initial one (scheduled or
@@ -69,11 +35,11 @@ type stats = {
   perturbations : int;
       (** Cost-perturbation rounds triggered by degeneracy, both phases. *)
   bland : bool;  (** Bland's rule (the terminal anti-cycling level) was reached. *)
-  warm_start : warm_start_outcome;
+  path : solve_path;
 }
 
 val no_stats : stats
-(** All-zero stats with [No_warm_start]; what solvers without
+(** All-zero stats with path [Two_phase]; what solvers without
     instrumentation attach. *)
 
 type solution = {
@@ -83,11 +49,6 @@ type solution = {
   reduced_costs : float array;  (** One value per model variable. *)
   iterations : int;  (** Total simplex pivots across both phases. *)
   stats : stats;  (** Solve-effort breakdown (see {!stats}). *)
-  basis : Basis.t option;
-      (** The optimal basis, when the solver maintains one (the revised
-          simplex does; the dense oracle and the interior-point method
-          return [None]). Feed it back as [?warm_start] to resolve a
-          perturbed or structurally similar model. *)
 }
 
 type outcome =
@@ -104,10 +65,10 @@ val get_optimal : outcome -> solution
 
 val pp_outcome : Format.formatter -> outcome -> unit
 
-val pp_warm_start_outcome : Format.formatter -> warm_start_outcome -> unit
+val pp_solve_path : Format.formatter -> solve_path -> unit
 
-val warm_start_outcome_name : warm_start_outcome -> string
-(** Stable machine-readable name: ["none"], ["dual_reopt"] or
-    ["fell_back"] — the vocabulary used in traces and bench JSON. *)
+val solve_path_name : solve_path -> string
+(** Stable machine-readable name: ["dual"] or ["two_phase"], the
+    vocabulary used in traces and bench JSON. *)
 
 val pp_stats : Format.formatter -> stats -> unit

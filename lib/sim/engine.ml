@@ -146,7 +146,7 @@ let init cfg =
   in
   let faulty = Faults.active fstate in
   (* Scheduler values may be reused across runs (Experiment does); drop
-     any cross-epoch state such as a carried warm-start basis. *)
+     any cross-epoch state they keep. *)
   Scheduler.reset scheduler;
   let tracing = Obs.Trace.enabled () in
   let run_span =

@@ -9,9 +9,8 @@ type solve_tally = {
   dual_pivots : int;
   refactorizations : int;
   solve_ms : float;
-  warm_cold : int;
-  dual_reopts : int;
-  warm_fell_back : int;
+  dual_solves : int;
+  fell_back : int;
 }
 
 let empty_tally =
@@ -22,9 +21,8 @@ let empty_tally =
     dual_pivots = 0;
     refactorizations = 0;
     solve_ms = 0.;
-    warm_cold = 0;
-    dual_reopts = 0;
-    warm_fell_back = 0 }
+    dual_solves = 0;
+    fell_back = 0 }
 
 let add_tally a b =
   { solves = a.solves + b.solves;
@@ -34,9 +32,8 @@ let add_tally a b =
     dual_pivots = a.dual_pivots + b.dual_pivots;
     refactorizations = a.refactorizations + b.refactorizations;
     solve_ms = a.solve_ms +. b.solve_ms;
-    warm_cold = a.warm_cold + b.warm_cold;
-    dual_reopts = a.dual_reopts + b.dual_reopts;
-    warm_fell_back = a.warm_fell_back + b.warm_fell_back }
+    dual_solves = a.dual_solves + b.dual_solves;
+    fell_back = a.fell_back + b.fell_back }
 
 type slot_row = {
   slot : int;
@@ -98,7 +95,7 @@ let int0 ev name = Option.value ~default:0 (Reader.int_field ev name)
 let float0 ev name = Option.value ~default:0. (Reader.float_field ev name)
 
 let tally_of_solve ev =
-  let warm = Option.value ~default:"" (Reader.str_field ev "warm") in
+  let path = Reader.str_field ev "path" in
   { solves = 1;
     pivots = int0 ev "iterations";
     phase1_pivots = int0 ev "phase1_pivots";
@@ -106,9 +103,8 @@ let tally_of_solve ev =
     dual_pivots = int0 ev "dual_pivots";
     refactorizations = int0 ev "refactorizations";
     solve_ms = float0 ev "ms";
-    warm_cold = (if warm = "none" || warm = "" then 1 else 0);
-    dual_reopts = (if warm = "dual_reopt" then 1 else 0);
-    warm_fell_back = (if warm = "fell_back" then 1 else 0) }
+    dual_solves = (if path = Some "dual" then 1 else 0);
+    fell_back = (if path = Some "two_phase" then 1 else 0) }
 
 (* The engine emits strictly nested spans from a single thread, so a pair
    of "currently open" cells replaces a full span stack. *)
@@ -330,8 +326,8 @@ let pp_run ppf run =
   Format.fprintf ppf "  solver: %d phase-1 + %d phase-2 + %d dual pivots@,"
     t.phase1_pivots t.phase2_pivots t.dual_pivots;
   Format.fprintf ppf
-    "  re-opt outcomes: %d cold, %d dual re-opt, %d fell back@," t.warm_cold
-    t.dual_reopts t.warm_fell_back;
+    "  solve paths: %d dual, %d fell back to two-phase@," t.dual_solves
+    t.fell_back;
   (match (run.total_files, run.rejected_files) with
    | Some total, Some rej ->
        Format.fprintf ppf "  files: %d offered, %d rejected@," total rej
@@ -391,9 +387,8 @@ let tally_to_json t =
       ("dual_pivots", Json.Int t.dual_pivots);
       ("refactorizations", Json.Int t.refactorizations);
       ("solve_ms", Json.Float t.solve_ms);
-      ("warm_cold", Json.Int t.warm_cold);
-      ("dual_reopts", Json.Int t.dual_reopts);
-      ("warm_fell_back", Json.Int t.warm_fell_back) ]
+      ("dual_solves", Json.Int t.dual_solves);
+      ("fell_back", Json.Int t.fell_back) ]
 
 let opt f = function None -> Json.Null | Some v -> f v
 

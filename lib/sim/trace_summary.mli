@@ -5,7 +5,7 @@
     ["sched.decision"] points nested inside them — and renders an ASCII
     report: the cost-vs-slot series, the per-slot pivot and wall-time
     breakdown, a solver section (phase-1/phase-2/dual pivot split and
-    re-optimization outcomes per run), and a
+    solve paths per run), and a
     reconciliation check of the per-slot series against the run's
     recorded final totals. *)
 
@@ -14,12 +14,13 @@ type solve_tally = {
   pivots : int;  (** All pivots (phases 1+2 and dual) over the slot. *)
   phase1_pivots : int;
   phase2_pivots : int;
-  dual_pivots : int;  (** Dual-simplex re-optimization pivots. *)
+  dual_pivots : int;  (** Dual-simplex pivots. *)
   refactorizations : int;
   solve_ms : float;
-  warm_cold : int;  (** Solves started without a warm basis. *)
-  dual_reopts : int;  (** Warm solves the dual simplex finished. *)
-  warm_fell_back : int;  (** Warm solves re-solved cold instead. *)
+  dual_solves : int;  (** Solves the dual simplex finished. *)
+  fell_back : int;
+      (** Solves the two-phase primal re-ran after the dual path gave
+          up. *)
 }
 
 type slot_row = {

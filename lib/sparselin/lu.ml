@@ -192,29 +192,13 @@ let eliminate_column e ~iter_col j =
   done;
   !top
 
-(* Partial pivoting among not-yet-pivoted rows of the pattern. Returns the
-   chosen row, or -1 when no entry exceeds [threshold]. *)
-let select_pivot e ~top ~threshold =
-  let best = ref (-1) and best_abs = ref threshold in
-  for s = 0 to top - 1 do
-    let r = e.stack.(s) in
-    if e.pinv.(r) < 0 then begin
-      let a = abs_float e.x.(r) in
-      if a > !best_abs then begin
-        best_abs := a;
-        best := r
-      end
-    end
-  done;
-  !best
-
 (* Markowitz-style threshold pivoting: among the not-yet-pivoted rows of
    the pattern whose magnitude is within a factor [rel] of the largest
    (and above [threshold]), prefer the row with the fewest nonzeros in the
    input matrix — the classic fill-in proxy, here with static row counts
    so selection stays O(pattern). Magnitude then row index break ties, so
    the choice is deterministic. Returns -1 when no entry exceeds
-   [threshold], exactly like {!select_pivot}. *)
+   [threshold]. *)
 let markowitz_rel = 0.1
 
 let select_pivot_markowitz e ~top ~threshold ~row_counts =
@@ -255,8 +239,7 @@ let select_pivot_markowitz e ~top ~threshold ~row_counts =
 (* Store column [k] of the factors from the accumulated pattern and clear
    the scratch: pivoted rows go to U (under their step), the others except
    the pivot row [piv] to L scaled by [1 / d]. Entries are stored in
-   reverse pattern order, the order BTRAN's dot products sum them in.
-   Pass [u = None] to keep L only. *)
+   reverse pattern order, the order BTRAN's dot products sum them in. *)
 let gather e ~u ~k ~top ~piv ~d =
   let x = e.x in
   for s = top - 1 downto 0 do
@@ -264,21 +247,14 @@ let gather e ~u ~k ~top ~piv ~d =
     let v = x.(r) in
     if v <> 0. then begin
       let step = e.pinv.(r) in
-      if step >= 0 then (match u with Some u -> push u k step v | None -> ())
+      if step >= 0 then push u k step v
       else if r <> piv then push e.el k r (v /. d)
     end;
     x.(r) <- 0.;
     e.visited.(r) <- false
   done;
   close e.el k;
-  match u with Some u -> close u k | None -> ()
-
-let clear_pattern e ~top =
-  for s = 0 to top - 1 do
-    let r = e.stack.(s) in
-    e.x.(r) <- 0.;
-    e.visited.(r) <- false
-  done
+  close u k
 
 (* Per-factorization telemetry: dimension, stored nonzeros and fill-in of
    the factors, plus a running factorization count. Updates are O(1)
@@ -332,7 +308,6 @@ let factorize_iter ?col_order ~dim:n iter_col =
   let e = elim_create ~dim:n l in
   let u_diag = Array.make n 0. in
   let pivot_row = Array.make n (-1) in
-  let keep_u = Some u in
   let exception Singular_at of int in
   try
     for k = 0 to n - 1 do
@@ -342,7 +317,7 @@ let factorize_iter ?col_order ~dim:n iter_col =
       in
       if piv < 0 then raise (Singular_at k);
       let d = e.x.(piv) in
-      gather e ~u:keep_u ~k ~top ~piv ~d;
+      gather e ~u ~k ~top ~piv ~d;
       u_diag.(k) <- d;
       pivot_row.(k) <- piv;
       e.pinv.(piv) <- k
@@ -363,37 +338,6 @@ let factorize_iter ?col_order ~dim:n iter_col =
 let factorize ?col_order ~dim col =
   factorize_iter ?col_order ~dim (fun j f ->
       Array.iter (fun (r, v) -> f r v) (col j))
-
-(* Rank-revealing greedy pass used to install a carried simplex basis: run
-   the same left-looking elimination over [ncols] candidate columns, but
-   instead of failing on a column with no acceptable pivot, skip it. The
-   threshold is far above the factorization's own (1e-13): a candidate that
-   only barely avoids singularity would produce a terrible starting basis.
-   Returns the accepted candidate indices (in elimination order) and the
-   rows left unpivoted, which the caller must cover with slack/artificial
-   columns. *)
-let crash_select ~dim:n ~ncols iter_col =
-  let l = factor_create ~cols:(min n ncols) ~heads:n ~cap:n in
-  let e = elim_create ~dim:n l in
-  let accepted = ref [] and n_accepted = ref 0 in
-  let j = ref 0 in
-  while !j < ncols && !n_accepted < n do
-    let top = eliminate_column e ~iter_col !j in
-    let piv = select_pivot e ~top ~threshold:1e-9 in
-    if piv < 0 then clear_pattern e ~top
-    else begin
-      gather e ~u:None ~k:!n_accepted ~top ~piv ~d:e.x.(piv);
-      e.pinv.(piv) <- !n_accepted;
-      accepted := !j :: !accepted;
-      incr n_accepted
-    end;
-    incr j
-  done;
-  let unpivoted = ref [] in
-  for r = n - 1 downto 0 do
-    if e.pinv.(r) < 0 then unpivoted := r :: !unpivoted
-  done;
-  (Array.of_list (List.rev !accepted), Array.of_list !unpivoted)
 
 (* FTRAN: solve B x = b with P B Q = L U, i.e. x = Q (U \ (L \ P b)).
    [b] is indexed by original rows on entry, by original columns on exit. *)

@@ -38,20 +38,6 @@ val factorize_iter :
     straight into the elimination's scratch vectors with no intermediate
     per-column array. *)
 
-val crash_select :
-  dim:int ->
-  ncols:int ->
-  (int -> (int -> float -> unit) -> unit) ->
-  int array * int array
-(** [crash_select ~dim ~ncols iter_col] greedily selects a maximal
-    independent subset of the [ncols] candidate columns by running the same
-    left-looking elimination and skipping (instead of failing on) columns
-    with no acceptable pivot. Returns [(accepted, unpivoted)]: the indices
-    of accepted candidates in elimination order, and the rows no accepted
-    column pivoted — together they describe a nonsingular basis once the
-    caller covers each unpivoted row with its slack or artificial column.
-    Used to install a warm-start basis carried between LP solves. *)
-
 val dim : t -> int
 
 val nnz : t -> int

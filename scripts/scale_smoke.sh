@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Tier-1 scale smoke: run the solver scale sweep at one bounded point
-# (12 DCs x 24 slots under a wall-clock budget) and check the dual
-# re-optimization path end to end — the bench itself fails loudly when
-# the aggregate counters do not reconcile with the per-slot records or
-# when no slot re-optimized via the dual simplex; the smoke additionally
-# checks the emitted JSON and cross-checks a traced simulation run
-# through trace-summary (strict validation + per-slot reconciliation),
-# demanding that the trace, too, records dual re-opts.
+# (12 DCs x 24 slots under a wall-clock budget) and check the dual-first
+# path end to end against the two-phase referee — the bench itself fails
+# loudly when no slot was solved on the dual path, when a dual-first
+# solve failed, or when the solvers disagree on feasibility; the smoke
+# additionally checks the emitted JSON (every slot on the dual path, zero
+# phase-1 pivots, a zero objective gap over refereed slots, no dual
+# failures) and cross-checks a traced simulation run through
+# trace-summary (strict validation + per-slot reconciliation), demanding
+# that the trace, too, records every solve on the dual path.
 set -euo pipefail
 
 bench=$1 sim=$2
@@ -17,33 +19,38 @@ trap cleanup EXIT
 "$bench" --scale-only --scale-sizes 12x24 --scale-budget-ms 10000 \
   --json-scale "$dir/scale.json" >"$dir/scale.out"
 
-dual_reopts=$(sed -n 's/.*"dual_reopts": \([0-9][0-9]*\).*/\1/p' "$dir/scale.json")
-if [ -z "$dual_reopts" ] || [ "$dual_reopts" -eq 0 ]; then
-  echo "scale smoke: BENCH_scale point reports no dual re-opts" >&2
+field() { sed -n "s/.*\"$1\": \([0-9][0-9]*\).*/\1/p" "$dir/scale.json"; }
+dual_slots=$(field dual_slots)
+dual_solves=$(field dual_solves)
+referee_slots=$(field referee_slots)
+if [ -z "$dual_solves" ] || [ "$dual_solves" -eq 0 ] \
+  || [ "$dual_solves" -ne "$dual_slots" ]; then
+  echo "scale smoke: not every slot was solved on the dual path" >&2
   cat "$dir/scale.out" >&2
   exit 1
 fi
 if ! grep -q '"dual_phase1_pivots": 0,' "$dir/scale.json"; then
-  echo "scale smoke: dual-warm solves spent phase-1 pivots" >&2
+  echo "scale smoke: dual-first solves spent phase-1 pivots" >&2
   cat "$dir/scale.json" >&2
   exit 1
 fi
-if ! grep -q '"max_objective_gap": 0' "$dir/scale.json"; then
-  echo "scale smoke: solvers disagree on the objective" >&2
+if [ -z "$referee_slots" ] || [ "$referee_slots" -eq 0 ] \
+  || ! grep -q '"max_objective_gap": 0' "$dir/scale.json"; then
+  echo "scale smoke: dual first and the referee disagree on the objective" >&2
   cat "$dir/scale.json" >&2
   exit 1
 fi
 if ! grep -q '"dual_failures": 0,' "$dir/scale.json"; then
-  echo "scale smoke: a dual re-opt solve failed at smoke scale" >&2
+  echo "scale smoke: a dual-first solve failed at smoke scale" >&2
   cat "$dir/scale.json" >&2
   exit 1
 fi
 
-# The same dual counters must surface through the trace pipeline: a
-# traced online run, strictly validated and reconciled by trace-summary,
-# has to report dual re-opts in its machine-readable report (the run's
-# "totals" tally precedes the per-slot rows, so the first occurrence is
-# the aggregate).
+# The same tally must surface through the trace pipeline: a traced
+# online run, strictly validated and reconciled by trace-summary, has to
+# report every solve on the dual path and no phase-1 pivot in its
+# machine-readable report (the run's "totals" tally precedes the
+# per-slot rows, so the first occurrence is the aggregate).
 "$sim" --figure 6 --nodes 8 --slots 10 --runs 1 --schedulers postcard \
   --trace "$dir/scale_smoke.jsonl" >/dev/null
 "$sim" trace-summary "$dir/scale_smoke.jsonl" --json >"$dir/summary.json"
@@ -52,11 +59,14 @@ if ! grep -q '"reconciliation":"ok"' "$dir/summary.json"; then
   cat "$dir/summary.json" >&2
   exit 1
 fi
-traced_dual=$(grep -o '"dual_reopts":[0-9]*' "$dir/summary.json" \
-  | head -1 | cut -d: -f2)
-if [ -z "$traced_dual" ] || [ "$traced_dual" -eq 0 ]; then
-  echo "scale smoke: trace-summary reports no dual re-opts" >&2
+traced() { grep -o "\"$1\":[0-9]*" "$dir/summary.json" | head -1 | cut -d: -f2; }
+traced_solves=$(traced solves)
+traced_dual=$(traced dual_solves)
+traced_phase1=$(traced phase1_pivots)
+if [ -z "$traced_dual" ] || [ "$traced_dual" -eq 0 ] \
+  || [ "$traced_dual" -ne "$traced_solves" ] || [ "$traced_phase1" -ne 0 ]; then
+  echo "scale smoke: trace-summary reports solves off the dual path" >&2
   cat "$dir/summary.json" >&2
   exit 1
 fi
-echo "scale smoke: OK (${dual_reopts} dual re-opts in the sweep, ${traced_dual} in the traced run)"
+echo "scale smoke: OK (${dual_solves} of ${dual_slots} sweep slots and ${traced_dual} traced solves on the dual path)"

@@ -1,12 +1,12 @@
-(* Dual-simplex re-optimization: when only the RHS or bounds move, the
-   carried basis stays dual-feasible and the solver must reach the new
-   optimum — or a certified infeasibility verdict — through the dual
-   path with zero phase-1 pivots, while agreeing with a cold primal solve
-   on the outcome class and (to 1e-6) on the objective. The property
-   tests replay randomized online instances, including mid-run link
-   outages and tight capacities that force admission-control verdicts;
-   the engine test drives a real post-strand re-plan through a trace
-   sink. *)
+(* Dual-first solves from the slack basis: every solve must reach the
+   optimum, or a certified infeasibility verdict, through the dual path
+   with zero phase-1 pivots, while agreeing with the two-phase referee
+   ([Lp.Simplex.solve_two_phase]) on the outcome class and (to 1e-6) on
+   the objective. The property tests replay randomized online instances,
+   including mid-run link outages and tight capacities that force
+   admission-control verdicts; the engine tests drive real post-strand
+   re-plans and drifting reduced costs through a trace sink, and one case
+   per production program checks that none of them needs a phase 1. *)
 
 module Model = Lp.Model
 module Status = Lp.Status
@@ -31,9 +31,10 @@ let check_pivot_split (s : Status.solution) =
     (st.Status.phase1_pivots + st.Status.phase2_pivots
     + st.Status.dual_pivots)
 
-(* The sample model of the warm-start suite, with a movable Ge RHS and a
-   movable upper bound: both perturbations leave the carried basis
-   dual-feasible (costs untouched), so they are pure dual territory. *)
+(* A small LP with equalities, ranged rows and bounds, with a movable Ge
+   RHS and a movable upper bound. Its costs are non-negative over finite
+   lower bounds, so the slack basis is dual feasible as it stands and
+   every version of it is pure dual territory. *)
 let model ~demand ~x_ub =
   let m = Model.create Model.Minimize in
   let x = Model.add_var m ~obj:2. ~ub:x_ub () in
@@ -44,72 +45,49 @@ let model ~demand ~x_ub =
   ignore (Model.add_constraint m [ (y, 2.); (z, 1.) ] Model.Le 8.);
   m
 
-let carried_basis () =
-  let cold = get_opt (Lp.Simplex.solve (model ~demand:5. ~x_ub:6.)) in
-  match cold.Status.basis with
-  | Some b -> b
-  | None -> Alcotest.fail "revised simplex returned no basis"
+(* [m] solves on the dual path with zero phase-1 pivots, to the
+   referee's objective. *)
+let check_dual_matches_referee what m =
+  let referee = get_opt (Lp.Simplex.solve_two_phase m) in
+  let dual = get_opt (Lp.Simplex.solve m) in
+  Alcotest.(check (float 1e-9))
+    (what ^ ": same objective as the referee")
+    referee.Status.objective dual.Status.objective;
+  let st = dual.Status.stats in
+  Alcotest.(check string)
+    (what ^ ": dual path taken")
+    "dual"
+    (Status.solve_path_name st.Status.path);
+  Alcotest.(check int) (what ^ ": zero phase-1 pivots") 0
+    st.Status.phase1_pivots;
+  check_pivot_split dual;
+  dual
 
 let test_rhs_perturbation_takes_dual_path () =
-  let basis = carried_basis () in
-  (* Raise the demand: the old optimum goes primal-infeasible but the
-     reduced costs are untouched, so the dual simplex must finish it. *)
-  let perturbed = model ~demand:9. ~x_ub:6. in
-  let cold = get_opt (Lp.Simplex.solve perturbed) in
-  let warm = get_opt (Lp.Simplex.solve ~warm_start:basis perturbed) in
-  Alcotest.(check (float 1e-9))
-    "same objective" cold.Status.objective warm.Status.objective;
-  let st = warm.Status.stats in
-  Alcotest.(check bool)
-    (Format.asprintf "dual re-opt taken (got %a)" Status.pp_warm_start_outcome
-       st.Status.warm_start)
-    true
-    (st.Status.warm_start = Status.Dual_reopt);
-  Alcotest.(check int) "zero phase-1 pivots" 0 st.Status.phase1_pivots;
-  check_pivot_split warm
-
-let test_dual_pivots_fix_bound_violation () =
-  (* min x + 2y, x + y >= d, x <= 4, y <= 4. At d = 2 the optimal basis
-     has x basic at 2; raising d to 6 pushes x past its upper bound, so
-     the dual simplex must pivot x out and y in — at least one genuine
-     dual pivot, not just a recompute. *)
-  let build d =
-    let m = Model.create Model.Minimize in
-    let x = Model.add_var m ~obj:1. ~ub:4. () in
-    let y = Model.add_var m ~obj:2. ~ub:4. () in
-    ignore (Model.add_constraint m [ (x, 1.); (y, 1.) ] Model.Ge d);
-    m
-  in
-  let cold0 = get_opt (Lp.Simplex.solve (build 2.)) in
-  let basis = Option.get cold0.Status.basis in
-  let perturbed = build 6. in
-  let cold = get_opt (Lp.Simplex.solve perturbed) in
-  let warm = get_opt (Lp.Simplex.solve ~warm_start:basis perturbed) in
-  Alcotest.(check (float 1e-9))
-    "same objective" cold.Status.objective warm.Status.objective;
-  let st = warm.Status.stats in
-  Alcotest.(check bool) "dual re-opt taken" true
-    (st.Status.warm_start = Status.Dual_reopt);
-  Alcotest.(check int) "zero phase-1 pivots" 0 st.Status.phase1_pivots;
-  Alcotest.(check bool)
-    (Printf.sprintf "dual pivots did the work (%d)" st.Status.dual_pivots)
-    true
-    (st.Status.dual_pivots > 0);
-  check_pivot_split warm
+  (* Raising the demand moves only the RHS: the old and the new program
+     both start dual feasible from the slack basis. *)
+  ignore (check_dual_matches_referee "demand 5" (model ~demand:5. ~x_ub:6.));
+  ignore (check_dual_matches_referee "demand 9" (model ~demand:9. ~x_ub:6.))
 
 let test_bound_tightening_takes_dual_path () =
-  let basis = carried_basis () in
-  (* Clamp x below its optimal value: a bound move, again dual work. *)
-  let perturbed = model ~demand:5. ~x_ub:1.5 in
-  let cold = get_opt (Lp.Simplex.solve perturbed) in
-  let warm = get_opt (Lp.Simplex.solve ~warm_start:basis perturbed) in
-  Alcotest.(check (float 1e-9))
-    "same objective" cold.Status.objective warm.Status.objective;
-  let st = warm.Status.stats in
-  Alcotest.(check bool) "dual re-opt taken" true
-    (st.Status.warm_start = Status.Dual_reopt);
-  Alcotest.(check int) "zero phase-1 pivots" 0 st.Status.phase1_pivots;
-  check_pivot_split warm
+  (* Clamping x below its optimal value moves a bound: again dual work. *)
+  ignore
+    (check_dual_matches_referee "x <= 1.5" (model ~demand:5. ~x_ub:1.5))
+
+let test_dual_pivots_fix_bound_violation () =
+  (* min x + 2y, x + y >= 6, x <= 4, y <= 4. The slack basis leaves the
+     row's logical at 6, above its bound 0, so the dual simplex must pivot
+     x and then y in: genuine dual pivots, not just a recompute. *)
+  let m = Model.create Model.Minimize in
+  let x = Model.add_var m ~obj:1. ~ub:4. () in
+  let y = Model.add_var m ~obj:2. ~ub:4. () in
+  ignore (Model.add_constraint m [ (x, 1.); (y, 1.) ] Model.Ge 6.);
+  let s = check_dual_matches_referee "x + y >= 6" m in
+  Alcotest.(check bool)
+    (Printf.sprintf "dual pivots did the work (%d)"
+       s.Status.stats.Status.dual_pivots)
+    true
+    (s.Status.stats.Status.dual_pivots > 0)
 
 (* The ["lp.solve"] trace points [f ()] emits, in order. *)
 let traced_solves f =
@@ -130,185 +108,44 @@ let traced_solves f =
 
 let test_infeasible_after_perturbation () =
   (* Tighten until the program is infeasible: the verdict must come from
-     the dual path's certified Farkas row, not from a phase-1 rerun. *)
-  let basis = carried_basis () in
+     the dual path's certified Farkas row, not from a phase-1 run. *)
   let impossible = model ~demand:50. ~x_ub:6. in
-  let outcome, solves =
-    traced_solves (fun () -> Lp.Simplex.solve ~warm_start:basis impossible)
-  in
-  Alcotest.(check bool) "still infeasible from a carried basis" true
-    (outcome = Status.Infeasible);
+  let outcome, solves = traced_solves (fun () -> Lp.Simplex.solve impossible) in
+  Alcotest.(check bool) "infeasible, as the referee says" true
+    (outcome = Status.Infeasible
+    && Lp.Simplex.solve_two_phase impossible = Status.Infeasible);
   match solves with
   | [ ev ] ->
       Alcotest.(check (option string)) "traced outcome" (Some "infeasible")
         (Reader.str_field ev "outcome");
       Alcotest.(check (option string)) "verdict from the dual path"
-        (Some "dual_reopt") (Reader.str_field ev "warm");
+        (Some "dual") (Reader.str_field ev "path");
       Alcotest.(check (option int)) "no phase-1 pivots" (Some 0)
         (Reader.int_field ev "phase1_pivots")
   | evs -> Alcotest.failf "expected one lp.solve point, got %d" (List.length evs)
 
-let test_uncertified_row_falls_back_to_cold () =
+let test_uncertified_row_falls_back_to_two_phase () =
   (* 1e-9 x >= 1 holds at x = 1e9, but the entry is below the pivot
-     tolerance, so from a basis with the row's slack basic the dual ratio
-     test finds no entering column. The blocked row is no certificate (x
-     is unbounded above), so the dual path must hand the solve to a cold
-     run and report whatever that concludes. *)
+     tolerance, so from the slack basis (the row's logical basic at 1,
+     above its bound 0) the dual ratio test finds no entering column. The
+     blocked row is no certificate (x is unbounded above), so the dual
+     path must hand the solve to the two-phase primal and report whatever
+     that concludes. *)
   let m = Model.create Model.Minimize in
   let x = Model.add_var m ~obj:1. () in
   ignore (Model.add_constraint m [ (x, 1e-9) ] Model.Ge 1.);
-  let basis =
-    Status.Basis.make ~cols:[| Status.Basis.At_lower |]
-      ~rows:[| Status.Basis.Basic |]
-  in
-  let outcome, solves =
-    traced_solves (fun () -> Lp.Simplex.solve ~warm_start:basis m)
-  in
-  Alcotest.(check bool) "same outcome as a cold solve" true
-    (outcome = Lp.Simplex.solve m);
+  let outcome, solves = traced_solves (fun () -> Lp.Simplex.solve m) in
+  Alcotest.(check bool) "same outcome as the referee" true
+    (outcome = Lp.Simplex.solve_two_phase m);
   match solves with
   | [ ev ] ->
-      Alcotest.(check (option string)) "solved cold instead"
-        (Some "fell_back") (Reader.str_field ev "warm")
+      Alcotest.(check (option string)) "solved two-phase instead"
+        (Some "two_phase") (Reader.str_field ev "path")
   | evs -> Alcotest.failf "expected one lp.solve point, got %d" (List.length evs)
 
 (* ------------------------------------------------------------------ *)
-(* Property: on randomized multi-slot online instances the dual-warm
-   pipeline agrees with the cold one everywhere, and every solve that
-   reports [Dual_reopt] spent zero phase-1 pivots. *)
+(* Generic LPs whose slack basis is not dual feasible as it stands. *)
 
-(* [outage] kills one link's residual capacity from slot [cut] on — the
-   mid-run RHS shock the dual path exists for. [tight] links fit few
-   batches: like the scheduler's admission control, a batch both solvers
-   find infeasible is re-solved one file fewer until it fits, each solve
-   warm-started from the last optimal basis, so the dual path's certified
-   infeasibility verdicts are checked against cold ones. *)
-let replay_instance ?(tight = false) ~seed ~nodes ~slots ~files_max ~outage
-    () =
-  let rng = Prelude.Rng.of_int (seed + 1) in
-  let base =
-    Netgraph.Topology.complete ~n:nodes ~rng ~cost_lo:1. ~cost_hi:10.
-      ~capacity:(if tight then 8. else 30.)
-  in
-  let dead_link, cut =
-    match outage with
-    | Some cut -> (Prelude.Rng.int rng (Graph.num_arcs base), cut)
-    | None -> (-1, max_int)
-  in
-  let spec =
-    let size_min, size_max, deadlines =
-      if tight then (5., 25., Sim.Workload.Uniform_deadline (1, 2))
-      else (2., 15., Sim.Workload.Uniform_deadline (2, 3))
-    in
-    { (Sim.Workload.paper_spec ~nodes ~files_max ~max_deadline:3) with
-      Sim.Workload.size_min;
-      size_max;
-      deadlines }
-  in
-  let workload = Sim.Workload.create spec (Prelude.Rng.of_int seed) in
-  let ledger = Sim.Ledger.create ~base in
-  let carried = ref None in
-  let ok = ref true in
-  for slot = 0 to slots - 1 do
-    let capacity ~link ~layer =
-      if link = dead_link && slot + layer >= cut then 0.
-      else Sim.Ledger.residual ledger ~link ~slot:(slot + layer)
-    in
-    let rec admit files =
-      if files <> [] && !ok then begin
-        let make () =
-          Formulate.create ~base
-            ~charged:(Sim.Ledger.charged_all ledger)
-            ~capacity ~files ~epoch:slot ()
-        in
-        let cold, _ = Formulate.solve_with_info (make ()) in
-        let warm, warm_info =
-          Formulate.solve_with_info ?warm_start:!carried (make ())
-        in
-        let st = warm_info.Formulate.stats in
-        if
-          st.Status.warm_start = Status.Dual_reopt
-          && st.Status.phase1_pivots > 0
-        then ok := false;
-        if
-          warm_info.Formulate.iterations
-          <> st.Status.phase1_pivots + st.Status.phase2_pivots
-             + st.Status.dual_pivots
-        then ok := false;
-        match (cold, warm) with
-        | ( Formulate.Scheduled { objective = co; plan; _ },
-            Formulate.Scheduled { objective = wo; _ } ) ->
-            if abs_float (co -. wo) > 1e-6 then ok := false;
-            Sim.Ledger.commit_plan ledger plan;
-            carried := warm_info.Formulate.basis
-        | Formulate.Infeasible, Formulate.Infeasible -> admit (List.tl files)
-        | _ -> ok := false
-      end
-    in
-    admit (Sim.Workload.arrivals workload ~slot)
-  done;
-  !ok
-
-let gen_instance =
-  Gen.(
-    let* seed = int_range 0 9999 in
-    let* nodes = int_range 3 5 in
-    let* slots = int_range 2 4 in
-    let* files_max = int_range 1 3 in
-    return (seed, nodes, slots, files_max))
-
-let prop_dual_equals_cold =
-  QCheck2.Test.make ~name:"dual re-opt objective = cold objective per epoch"
-    ~count:40 gen_instance (fun (seed, nodes, slots, files_max) ->
-      replay_instance ~seed ~nodes ~slots ~files_max ~outage:None ())
-
-let prop_dual_equals_cold_under_outage =
-  QCheck2.Test.make
-    ~name:"dual re-opt survives a mid-run link outage" ~count:40 gen_instance
-    (fun (seed, nodes, slots, files_max) ->
-      replay_instance ~seed ~nodes ~slots ~files_max
-        ~outage:(Some (max 1 (slots / 2))) ())
-
-let prop_tight_verdicts_match_cold =
-  QCheck2.Test.make ~name:"tight links: warm verdicts match cold" ~count:40
-    gen_instance (fun (seed, nodes, slots, files_max) ->
-      replay_instance ~tight:true ~seed ~nodes ~slots ~files_max ~outage:None
-        ())
-
-let prop_tight_verdicts_match_cold_under_outage =
-  QCheck2.Test.make
-    ~name:"outage on tight links: verdicts match cold" ~count:40 gen_instance
-    (fun (seed, nodes, slots, files_max) ->
-      replay_instance ~tight:true ~seed ~nodes ~slots ~files_max
-        ~outage:(Some (max 1 (slots / 2))) ())
-
-let test_tight_verdicts_are_certified () =
-  (* The properties above hold vacuously if every verdict fell back to
-     cold; on these fixed seeds the dual path must certify some. *)
-  let ok, solves =
-    traced_solves (fun () ->
-        List.for_all
-          (fun seed ->
-            replay_instance ~tight:true ~seed ~nodes:4 ~slots:3 ~files_max:3
-              ~outage:None ())
-          [ 0; 1; 2; 3 ])
-  in
-  Alcotest.(check bool) "warm and cold agree" true ok;
-  let certified =
-    List.filter
-      (fun ev ->
-        Reader.str_field ev "outcome" = Some "infeasible"
-        && Reader.str_field ev "warm" = Some "dual_reopt"
-        && Reader.int_field ev "phase1_pivots" = Some 0)
-      solves
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "certified verdicts on the dual path (%d)"
-       (List.length certified))
-    true
-    (List.length certified > 0)
-
-(* ------------------------------------------------------------------ *)
 (* The messages [f ()] logs from the simplex's [Logs] source at debug
    level; the reporter and level are restored afterwards. *)
 let simplex_debug_log f =
@@ -337,14 +174,198 @@ let simplex_debug_log f =
   in
   (result, List.rev !msgs)
 
+let test_cost_shift_at_install () =
+  (* max x + y over x + y <= 4, x - y <= 2 and a free z with cost 1 on
+     z - x = 0: in standard form x, y carry cost -1 at a lower bound with
+     no upper bound, and the free z a nonzero cost, so no flip can make
+     the slack basis dual feasible. Install must shift those costs; the
+     dual path still finishes with the dense oracle's optimum. *)
+  let m = Model.create Model.Maximize in
+  let x = Model.add_var m ~obj:1. () in
+  let y = Model.add_var m ~obj:1. () in
+  let z = Model.add_var m ~obj:1. ~lb:neg_infinity () in
+  ignore (Model.add_constraint m [ (x, 1.); (y, 1.) ] Model.Le 4.);
+  ignore (Model.add_constraint m [ (x, 1.); (y, -1.) ] Model.Le 2.);
+  ignore (Model.add_constraint m [ (z, 1.); (x, -1.) ] Model.Eq 0.);
+  let outcome, log = simplex_debug_log (fun () -> Lp.Simplex.solve m) in
+  let s = get_opt outcome in
+  let oracle = get_opt (Lp.Dense_simplex.solve m) in
+  Alcotest.(check (float 1e-9)) "dense oracle's objective"
+    oracle.Status.objective s.Status.objective;
+  Alcotest.(check (float 1e-9)) "known optimum" 7. s.Status.objective;
+  Alcotest.(check bool) "costs shifted at install" true
+    (List.exists (String.starts_with ~prefix:"dual simplex: shifted") log);
+  Alcotest.(check string) "dual path taken" "dual"
+    (Status.solve_path_name s.Status.stats.Status.path);
+  Alcotest.(check int) "zero phase-1 pivots" 0
+    s.Status.stats.Status.phase1_pivots;
+  check_pivot_split s
+
+let test_unbounded_from_slack_basis () =
+  (* max x + y subject to x - y <= 1: y grows without limit. The shifted
+     start is primal feasible at once; the primal polish on the true costs
+     finds the ray. *)
+  let m = Model.create Model.Maximize in
+  let x = Model.add_var m ~obj:1. () in
+  let y = Model.add_var m ~obj:1. () in
+  ignore (Model.add_constraint m [ (x, 1.); (y, -1.) ] Model.Le 1.);
+  let outcome, solves = traced_solves (fun () -> Lp.Simplex.solve m) in
+  Alcotest.(check bool) "unbounded, as the dense oracle says" true
+    (outcome = Status.Unbounded
+    && Lp.Dense_simplex.solve m = Status.Unbounded);
+  match solves with
+  | [ ev ] ->
+      Alcotest.(check (option string)) "verdict from the dual path"
+        (Some "dual") (Reader.str_field ev "path");
+      Alcotest.(check (option int)) "no phase-1 pivots" (Some 0)
+        (Reader.int_field ev "phase1_pivots")
+  | evs -> Alcotest.failf "expected one lp.solve point, got %d" (List.length evs)
+
+(* ------------------------------------------------------------------ *)
+(* Property: on randomized multi-slot online instances the dual-first
+   pipeline agrees with the two-phase referee everywhere, and every solve
+   on the dual path spent zero phase-1 pivots. *)
+
+(* [outage] kills one link's residual capacity from slot [cut] on: a
+   mid-run RHS shock. [tight] links fit few batches: like the
+   scheduler's admission control, a batch both solvers find infeasible is
+   re-solved one file fewer until it fits, so the dual path's certified
+   infeasibility verdicts are checked against the referee's. *)
+let replay_instance ?(tight = false) ~seed ~nodes ~slots ~files_max ~outage
+    () =
+  let rng = Prelude.Rng.of_int (seed + 1) in
+  let base =
+    Netgraph.Topology.complete ~n:nodes ~rng ~cost_lo:1. ~cost_hi:10.
+      ~capacity:(if tight then 8. else 30.)
+  in
+  let dead_link, cut =
+    match outage with
+    | Some cut -> (Prelude.Rng.int rng (Graph.num_arcs base), cut)
+    | None -> (-1, max_int)
+  in
+  let spec =
+    let size_min, size_max, deadlines =
+      if tight then (5., 25., Sim.Workload.Uniform_deadline (1, 2))
+      else (2., 15., Sim.Workload.Uniform_deadline (2, 3))
+    in
+    { (Sim.Workload.paper_spec ~nodes ~files_max ~max_deadline:3) with
+      Sim.Workload.size_min;
+      size_max;
+      deadlines }
+  in
+  let workload = Sim.Workload.create spec (Prelude.Rng.of_int seed) in
+  let ledger = Sim.Ledger.create ~base in
+  let ok = ref true in
+  for slot = 0 to slots - 1 do
+    let capacity ~link ~layer =
+      if link = dead_link && slot + layer >= cut then 0.
+      else Sim.Ledger.residual ledger ~link ~slot:(slot + layer)
+    in
+    let rec admit files =
+      if files <> [] && !ok then begin
+        let p =
+          Formulate.create ~base
+            ~charged:(Sim.Ledger.charged_all ledger)
+            ~capacity ~files ~epoch:slot ()
+        in
+        let referee, _ =
+          Formulate.interpret p
+            (Lp.Simplex.solve_two_phase (Formulate.model p))
+        in
+        let dual, info = Formulate.solve_with_info p in
+        let st = info.Formulate.stats in
+        if st.Status.path = Status.Dual && st.Status.phase1_pivots > 0 then
+          ok := false;
+        if
+          info.Formulate.iterations
+          <> st.Status.phase1_pivots + st.Status.phase2_pivots
+             + st.Status.dual_pivots
+        then ok := false;
+        match (referee, dual) with
+        | ( Formulate.Scheduled { objective = ro; _ },
+            Formulate.Scheduled { objective = dob; plan; _ } ) ->
+            if abs_float (ro -. dob) > 1e-6 then ok := false;
+            Sim.Ledger.commit_plan ledger plan
+        | Formulate.Infeasible, Formulate.Infeasible -> admit (List.tl files)
+        | _ -> ok := false
+      end
+    in
+    admit (Sim.Workload.arrivals workload ~slot)
+  done;
+  !ok
+
+let gen_instance =
+  Gen.(
+    let* seed = int_range 0 9999 in
+    let* nodes = int_range 3 5 in
+    let* slots = int_range 2 4 in
+    let* files_max = int_range 1 3 in
+    return (seed, nodes, slots, files_max))
+
+(* "Dual re-opt" is the dual simplex re-optimising each epoch's program
+   from the slack basis; "cold" is the two-phase referee. *)
+let prop_dual_equals_referee =
+  QCheck2.Test.make ~name:"dual re-opt objective = cold objective per epoch"
+    ~count:40 gen_instance (fun (seed, nodes, slots, files_max) ->
+      replay_instance ~seed ~nodes ~slots ~files_max ~outage:None ())
+
+let prop_dual_equals_referee_under_outage =
+  QCheck2.Test.make ~name:"dual re-opt survives a mid-run link outage"
+    ~count:40 gen_instance (fun (seed, nodes, slots, files_max) ->
+      replay_instance ~seed ~nodes ~slots ~files_max
+        ~outage:(Some (max 1 (slots / 2))) ())
+
+let prop_tight_verdicts_match_referee =
+  QCheck2.Test.make ~name:"tight links: dual verdicts match two-phase"
+    ~count:40 gen_instance (fun (seed, nodes, slots, files_max) ->
+      replay_instance ~tight:true ~seed ~nodes ~slots ~files_max ~outage:None
+        ())
+
+let prop_tight_verdicts_match_referee_under_outage =
+  QCheck2.Test.make
+    ~name:"outage on tight links: verdicts match the referee" ~count:40
+    gen_instance (fun (seed, nodes, slots, files_max) ->
+      replay_instance ~tight:true ~seed ~nodes ~slots ~files_max
+        ~outage:(Some (max 1 (slots / 2))) ())
+
+let test_tight_verdicts_are_certified () =
+  (* The properties above hold vacuously if every verdict fell back to
+     the two-phase primal; on these fixed seeds the dual path must
+     certify some. *)
+  let ok, solves =
+    traced_solves (fun () ->
+        List.for_all
+          (fun seed ->
+            replay_instance ~tight:true ~seed ~nodes:4 ~slots:3 ~files_max:3
+              ~outage:None ())
+          [ 0; 1; 2; 3 ])
+  in
+  Alcotest.(check bool) "dual first and referee agree" true ok;
+  let certified =
+    List.filter
+      (fun ev ->
+        Reader.str_field ev "outcome" = Some "infeasible"
+        && Reader.str_field ev "path" = Some "dual"
+        && Reader.int_field ev "phase1_pivots" = Some 0)
+      solves
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "certified verdicts on the dual path (%d)"
+       (List.length certified))
+    true
+    (List.length certified > 0)
+
+(* ------------------------------------------------------------------ *)
 (* Pass 2 of the dual ratio test comes up empty only when a reduced cost
-   drifted past the dual tolerance; the row goes unchecked and the solve
-   must fall back to cold. These Fig. 6-style instances (5 DCs, 30 GB
-   links, urgent deadlines, Postcard admission control) hit that case;
-   should a solver change move it elsewhere, scanning other instance
-   seeds with the same debug-log check finds new ones. *)
-let fig6_instance ~iseed =
-  let nodes = 5 in
+   drifted past the dual tolerance. The solve must repair the drift
+   (rebuild the reduced costs, flip or shift) and stay on the dual path.
+   These instances are shaped like the lp-throttled benchmark workload
+   (10 DCs, 30 GB links, 1..8 files per slot, deadlines 1..3, Postcard
+   admission control) and hit that case; should a solver change move it
+   elsewhere, scanning other instance seeds with the same debug-log check
+   finds new ones. *)
+let throttled_instance ~iseed ~slots =
+  let nodes = 10 in
   let base =
     Netgraph.Topology.complete ~n:nodes
       ~rng:(Prelude.Rng.of_int (iseed * 7919))
@@ -358,47 +379,48 @@ let fig6_instance ~iseed =
     Sim.Workload.create spec (Prelude.Rng.of_int (iseed * 104729))
   in
   Sim.Engine.make ~base ~scheduler:(Postcard.Postcard_scheduler.make ())
-    ~workload ~slots:3 ()
+    ~workload ~slots ()
 
-let test_pass2_empty_falls_back_to_cold () =
+(* (instance seed, slots) pairs found by that scan. *)
+let drift_instances = [ (42, 4); (50, 4); (55, 4) ]
+
+let test_pass2_empty_stays_on_dual_path () =
   let (_, solves), log =
     simplex_debug_log (fun () ->
         traced_solves (fun () ->
             List.iter
-              (fun iseed -> ignore (Sim.Engine.run (fig6_instance ~iseed)))
-              [ 24; 25; 45 ]))
+              (fun (iseed, slots) ->
+                ignore (Sim.Engine.run (throttled_instance ~iseed ~slots)))
+              drift_instances))
   in
-  let fallbacks = List.filter (String.starts_with ~prefix:"dual re-opt: ") log in
-  let pass2 =
+  let repairs =
     List.filter
-      (String.equal "dual re-opt: pass 2 found no entering column; solving cold")
-      fallbacks
+      (String.equal
+         "dual simplex: pass 2 found no entering column; repairing drift")
+      log
   in
   Alcotest.(check bool)
-    (Printf.sprintf "pass 2 came up empty (%d times)" (List.length pass2))
+    (Printf.sprintf "pass 2 came up empty (%d times)" (List.length repairs))
     true
-    (List.length pass2 > 0);
-  Alcotest.(check (list string)) "no other fallback on these instances" pass2
-    fallbacks;
-  Alcotest.(check int) "each fallback traced as fell_back"
-    (List.length fallbacks)
-    (List.length
-       (List.filter (fun ev -> Reader.str_field ev "warm" = Some "fell_back")
-          solves));
+    (List.length repairs > 0);
+  Alcotest.(check (list string)) "no solve fell back" []
+    (List.filter (String.starts_with ~prefix:"dual simplex: ") log
+    |> List.filter (fun msg ->
+           not
+             (String.equal msg
+                "dual simplex: pass 2 found no entering column; repairing drift"
+             || String.starts_with ~prefix:"dual simplex: shifted" msg)));
   List.iter
     (fun ev ->
-      if Reader.str_field ev "warm" = Some "fell_back" then
-        Alcotest.(check bool) "the cold rerun settles the solve" true
-          (match Reader.str_field ev "outcome" with
-           | Some ("optimal" | "infeasible") -> true
-           | _ -> false))
+      Alcotest.(check (option string)) "every solve on the dual path"
+        (Some "dual") (Reader.str_field ev "path"))
     solves
 
 (* ------------------------------------------------------------------ *)
 (* Post-strand re-plan through the real engine: a revealed outage
    strands bytes mid-run, the engine re-offers them, and the scheduler's
-   re-solve must keep the carried basis dual-feasible. Verified from the
-   trace, the same channel the trace-summary reads. *)
+   re-solve must run on the dual path from a dual-feasible slack basis.
+   Verified from the trace, the same channel the trace-summary reads. *)
 
 let test_post_strand_replan_keeps_dual_basis () =
   (* A 12 GB file over the cheap capacity-5 direct link needs three of
@@ -431,13 +453,118 @@ let test_post_strand_replan_keeps_dual_basis () =
   Alcotest.(check int) "two solves: admission, then the re-plan" 2
     (List.length solves);
   let replan = List.nth solves 1 in
-  Alcotest.(check (option string)) "re-plan re-optimized via the dual simplex"
-    (Some "dual_reopt")
-    (Reader.str_field replan "warm");
+  Alcotest.(check (option string)) "re-plan solved on the dual path"
+    (Some "dual") (Reader.str_field replan "path");
   Alcotest.(check (option int)) "zero phase-1 pivots on the re-plan" (Some 0)
     (Reader.int_field replan "phase1_pivots");
   Alcotest.(check (option string)) "the re-offer fits" (Some "optimal")
     (Reader.str_field replan "outcome")
+
+(* ------------------------------------------------------------------ *)
+(* Every production program solves on the dual path with no phase 1:
+   Postcard's costs are non-negative over finite lower bounds, and the
+   maximizations (bulk, budget, flow stage 1) have bounded variables the
+   install can flip. Each case runs one program family under a trace
+   sink and checks that no cost was shifted, and every solve of the named
+   models: dual path, zero phase-1 pivots, and nothing left for the
+   primal polish, which holds only if the start was dual feasible and
+   stayed so. *)
+
+let check_production_solves ~models f =
+  let (_, solves), log = simplex_debug_log (fun () -> traced_solves f) in
+  Alcotest.(check (list string)) "no cost shifted" []
+    (List.filter (String.starts_with ~prefix:"dual simplex: shifted") log);
+  List.iter
+    (fun name ->
+      let mine =
+        List.filter (fun ev -> Reader.str_field ev "model" = Some name) solves
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s was solved (%d times)" name (List.length mine))
+        true (mine <> []);
+      List.iter
+        (fun ev ->
+          Alcotest.(check (option string)) (name ^ ": dual path") (Some "dual")
+            (Reader.str_field ev "path");
+          Alcotest.(check (option int)) (name ^ ": zero phase-1 pivots")
+            (Some 0) (Reader.int_field ev "phase1_pivots");
+          Alcotest.(check (option int)) (name ^ ": nothing left to polish")
+            (Some 0) (Reader.int_field ev "phase2_pivots"))
+        mine)
+    models
+
+(* A Fig. 6-style online run of [scheduler]: throttled links, so admission
+   control and the flow baseline's stages all get exercised. *)
+let run_fig6 scheduler =
+  let nodes = 5 in
+  let base =
+    Netgraph.Topology.complete ~n:nodes ~rng:(Prelude.Rng.of_int 11)
+      ~cost_lo:1. ~cost_hi:10. ~capacity:30.
+  in
+  let spec =
+    { (Sim.Workload.paper_spec ~nodes ~files_max:6 ~max_deadline:3) with
+      Sim.Workload.urgent_size_cap = Some 30. }
+  in
+  let workload = Sim.Workload.create spec (Prelude.Rng.of_int 12) in
+  ignore
+    (Sim.Engine.run
+       (Sim.Engine.make ~base ~scheduler:(Postcard.Scheduler.make_exn scheduler)
+          ~workload ~slots:6 ()))
+
+let line_graph () =
+  let g = Graph.create ~n:2 in
+  ignore (Graph.add_arc g ~src:0 ~dst:1 ~capacity:10. ~cost:2. ());
+  g
+
+let test_production_postcard () =
+  check_production_solves ~models:[ "postcard" ] (fun () -> run_fig6 "postcard")
+
+let test_production_offline () =
+  check_production_solves ~models:[ "postcard-offline" ] (fun () ->
+      let base =
+        Netgraph.Topology.complete ~n:4 ~rng:(Prelude.Rng.of_int 3)
+          ~cost_lo:1. ~cost_hi:10. ~capacity:30.
+      in
+      let files =
+        [ File.make ~id:0 ~src:0 ~dst:3 ~size:25. ~deadline:3 ~release:0;
+          File.make ~id:1 ~src:1 ~dst:2 ~size:40. ~deadline:2 ~release:1;
+          File.make ~id:2 ~src:2 ~dst:0 ~size:15. ~deadline:3 ~release:2 ]
+      in
+      match Postcard.Offline.solve ~base ~files () with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.fail msg)
+
+let test_production_budget () =
+  check_production_solves ~models:[ "budget" ] (fun () ->
+      match
+        Postcard.Budget.solve ~base:(line_graph ()) ~charged:[| 2. |]
+          ~capacity:(fun ~link:_ ~layer:_ -> 10.)
+          ~files:[ File.make ~id:0 ~src:0 ~dst:1 ~size:15. ~deadline:2 ~release:0 ]
+          ~epoch:0 ~budget:12. ()
+      with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.fail msg)
+
+let test_production_bulk () =
+  check_production_solves ~models:[ "bulk" ] (fun () ->
+      match
+        Postcard.Bulk.solve ~base:(line_graph ()) ~charged:[| 6. |]
+          ~capacity:(fun ~link:_ ~layer:_ -> 10.)
+          ~occupied:(fun ~link:_ ~layer:_ -> 1.)
+          ~files:[ File.make ~id:0 ~src:0 ~dst:1 ~size:20. ~deadline:2 ~release:0 ]
+          ~epoch:0 ~paid_only:true ()
+      with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.fail msg)
+
+let test_production_flow_two_stage () =
+  check_production_solves
+    ~models:[ "flow-stage1"; "flow-stage1-polish"; "flow-stage2" ]
+    (fun () -> run_fig6 "flow-based")
+
+let test_production_flow_joint () =
+  check_production_solves ~models:[ "flow-joint" ] (fun () ->
+      run_fig6 "flow-joint")
 
 (* ------------------------------------------------------------------ *)
 (* The bench aggregates are recomputed from per-slot records; tampering
@@ -450,14 +577,13 @@ let test_bench_reconcile_detects_tampering () =
    | Error msg -> Alcotest.failf "honest summary failed to reconcile: %s" msg);
   let tampered =
     { summary with
-      Sim.Solver_bench.warm_fell_back =
-        summary.Sim.Solver_bench.warm_fell_back + 1 }
+      Sim.Solver_bench.fell_back = summary.Sim.Solver_bench.fell_back + 1 }
   in
-  Alcotest.(check bool) "inflated warm_fell_back is caught" true
+  Alcotest.(check bool) "inflated fell_back is caught" true
     (Result.is_error (Sim.Solver_bench.reconcile tampered));
-  let zeroed = { summary with Sim.Solver_bench.dual_reopts = 0 } in
-  Alcotest.(check bool) "zeroed dual_reopts is caught" true
-    (summary.Sim.Solver_bench.dual_reopts = 0
+  let zeroed = { summary with Sim.Solver_bench.dual_solves = 0 } in
+  Alcotest.(check bool) "zeroed dual_solves is caught" true
+    (summary.Sim.Solver_bench.dual_solves = 0
     || Result.is_error (Sim.Solver_bench.reconcile zeroed))
 
 let suite =
@@ -469,17 +595,34 @@ let suite =
       test_dual_pivots_fix_bound_violation;
     Alcotest.test_case "infeasible verdict survives the dual path" `Quick
       test_infeasible_after_perturbation;
-    Alcotest.test_case "uncertified blocked row falls back to cold" `Quick
-      test_uncertified_row_falls_back_to_cold;
-    Alcotest.test_case "post-strand re-plan keeps a dual-feasible basis"
+    Alcotest.test_case "uncertified blocked row falls back to two-phase"
+      `Quick test_uncertified_row_falls_back_to_two_phase;
+    Alcotest.test_case "post-strand re-plan keeps a dual-feasible start"
       `Quick test_post_strand_replan_keeps_dual_basis;
     Alcotest.test_case "bench reconcile detects tampering" `Quick
       test_bench_reconcile_detects_tampering;
     Alcotest.test_case "tight links: verdicts are certified" `Quick
       test_tight_verdicts_are_certified;
-    Alcotest.test_case "empty ratio-test pass 2 falls back to cold" `Quick
-      test_pass2_empty_falls_back_to_cold;
-    to_alcotest prop_dual_equals_cold;
-    to_alcotest prop_dual_equals_cold_under_outage;
-    to_alcotest prop_tight_verdicts_match_cold;
-    to_alcotest prop_tight_verdicts_match_cold_under_outage ]
+    Alcotest.test_case "empty ratio-test pass 2 falls back to a drift repair"
+      `Quick
+      test_pass2_empty_stays_on_dual_path;
+    Alcotest.test_case "cost shift at install matches the dense oracle"
+      `Quick test_cost_shift_at_install;
+    Alcotest.test_case "unbounded from the slack basis" `Quick
+      test_unbounded_from_slack_basis;
+    Alcotest.test_case "production: postcard on the dual path" `Quick
+      test_production_postcard;
+    Alcotest.test_case "production: postcard-offline on the dual path" `Quick
+      test_production_offline;
+    Alcotest.test_case "production: budget on the dual path" `Quick
+      test_production_budget;
+    Alcotest.test_case "production: bulk on the dual path" `Quick
+      test_production_bulk;
+    Alcotest.test_case "production: flow two-stage on the dual path" `Quick
+      test_production_flow_two_stage;
+    Alcotest.test_case "production: flow-joint on the dual path" `Quick
+      test_production_flow_joint;
+    to_alcotest prop_dual_equals_referee;
+    to_alcotest prop_dual_equals_referee_under_outage;
+    to_alcotest prop_tight_verdicts_match_referee;
+    to_alcotest prop_tight_verdicts_match_referee_under_outage ]

@@ -225,9 +225,11 @@ let random_permutation rng n =
   done;
   p
 
-(* The basis of the optimum of a small Postcard program: its basic
-   structural and slack columns, plus unit columns for rows where an
-   artificial stayed basic. *)
+(* A basis of the optimum of a small Postcard program. The structural
+   columns strictly inside their bounds at the optimum must be basic;
+   greedy dense elimination completes them with logical (unit) columns
+   into a nonsingular basis, the mix of network and slack columns a
+   simplex basis holds. *)
 let postcard_basis () =
   let rng = Prelude.Rng.of_int 31 in
   let base =
@@ -247,32 +249,54 @@ let postcard_basis () =
          ~capacity:(fun ~link:_ ~layer:_ -> 40.)
          ~files ~epoch:0 ())
   in
-  let basis =
+  let primal =
     match Lp.Simplex.solve model with
-    | Lp.Status.Optimal { basis = Some b; _ } -> b
+    | Lp.Status.Optimal s -> s.Lp.Status.primal
     | other -> Alcotest.failf "postcard LP: %a" Lp.Status.pp_outcome other
   in
   let sf = Lp.Standard_form.of_model model in
   let m = sf.Lp.Standard_form.n_rows and n = sf.Lp.Standard_form.n_struct in
-  let cols = ref [] in
-  for j = Lp.Standard_form.total_vars sf - 1 downto 0 do
-    let st =
-      if j < n then Lp.Status.Basis.col_status basis j
-      else Lp.Status.Basis.row_status basis (j - n)
-    in
-    if st = Lp.Status.Basis.Basic then cols := j :: !cols
-  done;
-  let cols = Array.of_list !cols in
-  let iter k f = Csc.iter_col sf.Lp.Standard_form.a cols.(k) f in
-  let _, uncovered = Lu.crash_select ~dim:m ~ncols:(Array.length cols) iter in
+  let inside j =
+    primal.(j) > sf.Lp.Standard_form.lb.(j) +. 1e-9
+    && primal.(j) < sf.Lp.Standard_form.ub.(j) -. 1e-9
+  in
+  let candidates =
+    List.filter inside (List.init n Fun.id) @ List.init m (fun i -> n + i)
+  in
+  (* Each accepted column, reduced against the earlier ones, with its
+     pivot row. *)
+  let reduced = ref [] and chosen = ref [] in
+  List.iter
+    (fun j ->
+      if List.length !chosen < m then begin
+        let v = Array.make m 0. in
+        Csc.iter_col sf.Lp.Standard_form.a j (fun i x -> v.(i) <- x);
+        List.iter
+          (fun (r, u) ->
+            let f = v.(r) /. u.(r) in
+            if f <> 0. then Array.iteri (fun i ui -> v.(i) <- v.(i) -. (f *. ui)) u)
+          (List.rev !reduced);
+        let piv = ref (-1) in
+        Array.iteri
+          (fun i x ->
+            if abs_float x > 1e-9
+               && (!piv < 0 || abs_float x > abs_float v.(!piv))
+            then piv := i)
+          v;
+        if !piv >= 0 then begin
+          reduced := (!piv, v) :: !reduced;
+          chosen := j :: !chosen
+        end
+      end)
+    candidates;
+  let cols = Array.of_list (List.rev !chosen) in
+  Alcotest.(check int) "a full basis" m (Array.length cols);
+  Alcotest.(check bool) "with structural columns" true (cols.(0) < n);
   let d = Dense.make m m in
   Array.iteri
     (fun k j ->
       Csc.iter_col sf.Lp.Standard_form.a j (fun i v -> d.(i).(k) <- v))
     cols;
-  Array.iteri
-    (fun k r -> d.(r).(Array.length cols + k) <- 1.)
-    uncovered;
   d
 
 let test_btran_unit_vectors () =

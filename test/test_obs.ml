@@ -276,25 +276,24 @@ let test_simplex_stats () =
         s.Lp.Status.iterations
         (st.Lp.Status.phase1_pivots + st.Lp.Status.phase2_pivots
         + st.Lp.Status.dual_pivots);
-      Alcotest.(check bool) "cold solve has no warm outcome" true
-        (st.Lp.Status.warm_start = Lp.Status.No_warm_start);
       Alcotest.(check bool) "pivots left an eta trail" true
         (s.Lp.Status.iterations = 0 || st.Lp.Status.eta_peak >= 1);
-      (match s.Lp.Status.basis with
-       | None -> Alcotest.fail "no basis"
-       | Some b -> (
-           match Lp.Simplex.solve ~warm_start:b m with
-           | Lp.Status.Optimal s2 ->
-               (* Restarting from its own optimal basis, the dual path
-                  must finish the solve without touching phase 1. *)
-               Alcotest.(check bool) "warm restart reports a dual re-opt"
-                 true
-                 (s2.Lp.Status.stats.Lp.Status.warm_start
-                 = Lp.Status.Dual_reopt);
-               Alcotest.(check int) "dual re-opt has no phase-1 pivots" 0
-                 s2.Lp.Status.stats.Lp.Status.phase1_pivots
-           | other ->
-               Alcotest.failf "warm restart: %a" Lp.Status.pp_outcome other))
+      (* Non-negative costs over finite lower bounds: the dual path from
+         the slack basis finishes the solve without touching phase 1. *)
+      Alcotest.(check string) "solve reports the dual path" "dual"
+        (Lp.Status.solve_path_name st.Lp.Status.path);
+      Alcotest.(check int) "no phase-1 pivots" 0 st.Lp.Status.phase1_pivots;
+      (match Lp.Simplex.solve_two_phase m with
+       | Lp.Status.Optimal r ->
+           let rst = r.Lp.Status.stats in
+           Alcotest.(check string) "the referee reports two-phase"
+             "two_phase"
+             (Lp.Status.solve_path_name rst.Lp.Status.path);
+           Alcotest.(check int) "the referee runs no dual pivots" 0
+             rst.Lp.Status.dual_pivots;
+           Alcotest.(check (float 1e-9)) "same objective"
+             r.Lp.Status.objective s.Lp.Status.objective
+       | other -> Alcotest.failf "referee: %a" Lp.Status.pp_outcome other)
   | other -> Alcotest.failf "expected optimal, got %a" Lp.Status.pp_outcome other
 
 let suite =
