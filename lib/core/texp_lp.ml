@@ -8,12 +8,19 @@ type t = {
   epoch : int;
   horizon : int;
   texp : Texp.t;
-  (* m_vars.(fi): expanded arc id -> variable, for arcs usable by file fi. *)
-  m_vars : (int, Model.var) Hashtbl.t array;
+  (* m_vars.(fi).(id): file fi's variable on expanded arc id, as a raw
+     column index, or -1 where the file has none. *)
+  m_vars : int array array;
 }
 
 let texp t = t.texp
 let horizon t = t.horizon
+
+(* [terms] with [(v, c)] in front when [v] is the variable a file's arc
+   map [vars] holds on expanded arc [id]. *)
+let add_term model vars id c terms =
+  let v = vars.(id) in
+  if v < 0 then terms else (Model.var_of_index model v, c) :: terms
 
 (* Hop distances from [src] used to prune variables the file can never
    use. *)
@@ -72,7 +79,8 @@ let build ~model ~base ~capacity ~files ~epoch ~flow_obj ~supply =
     && from_src.(fi).(node) <= layer - lo
     && to_dst.(fi).(node) <= hi - layer
   in
-  let m_vars = Array.map (fun _ -> Hashtbl.create 256) files in
+  let n_arcs = Graph.num_arcs (Texp.graph texp) in
+  let m_vars = Array.map (fun _ -> Array.make n_arcs (-1)) files in
   Array.iteri
     (fun fi f ->
       let lo = window_lo f and hi = window_hi f in
@@ -91,7 +99,7 @@ let build ~model ~base ~capacity ~files ~epoch ~flow_obj ~supply =
                && node_usable fi dst_node dst_layer
             then begin
               let v = Model.add_var model ~lb:0. ~ub:f.File.size ~obj () in
-              Hashtbl.replace m_vars.(fi) a.Graph.id v
+              m_vars.(fi).(a.Graph.id) <- (v :> int)
             end
           end))
     files;
@@ -107,17 +115,11 @@ let build ~model ~base ~capacity ~files ~epoch ~flow_obj ~supply =
             let terms = ref [] in
             if layer < hi then
               List.iter
-                (fun id ->
-                  match Hashtbl.find_opt m_vars.(fi) id with
-                  | Some v -> terms := (v, 1.) :: !terms
-                  | None -> ())
+                (fun id -> terms := add_term model m_vars.(fi) id 1. !terms)
                 (Graph.out_arcs (Texp.graph texp) expanded);
             if layer > lo then
               List.iter
-                (fun id ->
-                  match Hashtbl.find_opt m_vars.(fi) id with
-                  | Some v -> terms := (v, -1.) :: !terms
-                  | None -> ())
+                (fun id -> terms := add_term model m_vars.(fi) id (-1.) !terms)
                 (Graph.in_arcs (Texp.graph texp) expanded);
             let is_source = node = f.File.src && layer = lo in
             let is_sink = node = f.File.dst && layer = hi in
@@ -148,10 +150,7 @@ let build ~model ~base ~capacity ~files ~epoch ~flow_obj ~supply =
         let expanded_id = Texp.transmission_arc texp ~link:a.Graph.id ~layer in
         let terms = ref [] in
         Array.iter
-          (fun tbl ->
-            match Hashtbl.find_opt tbl expanded_id with
-            | Some v -> terms := (v, 1.) :: !terms
-            | None -> ())
+          (fun vars -> terms := add_term model vars expanded_id 1. !terms)
           m_vars;
         if !terms <> [] then begin
           let cap = capacity ~link:a.Graph.id ~layer in
@@ -174,10 +173,7 @@ let add_charge_coupling ~model t ~charged ~x_obj =
         let expanded_id = Texp.transmission_arc t.texp ~link:a.Graph.id ~layer in
         let terms = ref [] in
         Array.iter
-          (fun tbl ->
-            match Hashtbl.find_opt tbl expanded_id with
-            | Some v -> terms := (v, 1.) :: !terms
-            | None -> ())
+          (fun vars -> terms := add_term model vars expanded_id 1. !terms)
           t.m_vars;
         if !terms <> [] then
           ignore
@@ -189,31 +185,35 @@ let add_charge_coupling ~model t ~charged ~x_obj =
 
 let eps_volume = 1e-7
 
+(* Files and arcs are walked from the last to the first, so the
+   prepended plan lists come out in (file, expanded arc id) order. *)
 let extract_plan t ~primal =
   let transmissions = ref [] and holdovers = ref [] in
-  Array.iteri
-    (fun fi f ->
-      Hashtbl.iter
-        (fun arc_id (v : Model.var) ->
-          let value = primal.((v :> int)) in
-          if value > eps_volume then
-            match Texp.kind t.texp arc_id with
-            | Texp.Transmission { link; layer } ->
-                transmissions :=
-                  { Plan.file = f.File.id;
-                    link;
-                    slot = t.epoch + layer;
-                    volume = value }
-                  :: !transmissions
-            | Texp.Storage { node; layer } ->
-                holdovers :=
-                  { Plan.h_file = f.File.id;
-                    h_node = node;
-                    h_slot = t.epoch + layer;
-                    h_volume = value }
-                  :: !holdovers)
-        t.m_vars.(fi))
-    t.files;
+  for fi = Array.length t.files - 1 downto 0 do
+    let f = t.files.(fi) and vars = t.m_vars.(fi) in
+    for arc_id = Array.length vars - 1 downto 0 do
+      let v = vars.(arc_id) in
+      if v >= 0 then begin
+        let value = primal.(v) in
+        if value > eps_volume then
+          match Texp.kind t.texp arc_id with
+          | Texp.Transmission { link; layer } ->
+              transmissions :=
+                { Plan.file = f.File.id;
+                  link;
+                  slot = t.epoch + layer;
+                  volume = value }
+                :: !transmissions
+          | Texp.Storage { node; layer } ->
+              holdovers :=
+                { Plan.h_file = f.File.id;
+                  h_node = node;
+                  h_slot = t.epoch + layer;
+                  h_volume = value }
+                :: !holdovers
+      end
+    done
+  done;
   { Plan.transmissions = !transmissions; holdovers = !holdovers }
 
 let extract_supplies t ~primal vars =

@@ -44,10 +44,21 @@ type state = {
   x : float array;  (* nall *)
   (* Per-pivot vectors, allocated once per solve: the FTRAN'd entering
      column (m), row r of the basis inverse (m) and the pivot row over
-     every column (nall). *)
+     every column (nall), which is zero outside its nonzero pattern. *)
   alpha : float array;
   rho : float array;
   beta : float array;
+  (* The pivot row's pattern: [pattern.(0 .. row_nnz - 1)] lists every
+     column whose entry of [beta] may be nonzero, each once, the
+     structurals reached by [rho] first ([row_nstruct] of them, in the
+     order first reached), then the artificials of the nonzero [rho_i].
+     [stamp] (tot) marks the structurals listed under [mark], which
+     [pivot_row] advances, so it is never cleared. *)
+  pattern : int array;
+  mutable row_nnz : int;
+  mutable row_nstruct : int;
+  stamp : int array;
+  mutable mark : int;
   mutable lu : Lu.t;
   (* Eta file in application (oldest-first) order: FTRAN walks it forward,
      BTRAN backward. A growable array keeps the hot loops allocation-free
@@ -117,18 +128,35 @@ let btran_unit st r =
   btran st st.rho
 
 (* The pivot row [st.beta.(j)] := rho . A_j for every column j of
-   [A | artificials], from [st.rho]. The row-wise copy of A scatters each
+   [A | artificials], from [st.rho], with its pattern. The previous row
+   is cleared through its pattern. The row-wise copy of A scatters each
    nonzero rho_i in ascending row order. For every column these are the
    nonzero terms of [dot_column], added in the same order: the terms
-   skipped are products with an exact zero, so each entry is bit-identical
-   to the per-column dot product. *)
+   skipped are products with an exact zero, so each entry is
+   bit-identical to the per-column dot product. A column outside the
+   pattern reads 0, which is what its dot product sums to. *)
 let pivot_row st =
-  let rho = st.rho and beta = st.beta in
-  Array.fill beta 0 st.tot 0.;
-  Csc.matvec_add st.sf.Standard_form.rows rho beta;
+  let rho = st.rho and beta = st.beta and pattern = st.pattern in
+  for k = 0 to st.row_nnz - 1 do
+    Array.unsafe_set beta (Array.unsafe_get pattern k) 0.
+  done;
+  st.mark <- st.mark + 1;
+  let n_struct =
+    Csc.matvec_add_pattern st.sf.Standard_form.rows rho beta
+      ~stamp:st.stamp ~mark:st.mark pattern
+  in
+  let n = ref n_struct in
   for i = 0 to st.m - 1 do
-    beta.(st.tot + i) <- st.art_sign.(i) *. rho.(i)
-  done
+    let r = rho.(i) in
+    if r <> 0. then begin
+      let j = st.tot + i in
+      beta.(j) <- st.art_sign.(i) *. r;
+      pattern.(!n) <- j;
+      incr n
+    end
+  done;
+  st.row_nstruct <- n_struct;
+  st.row_nnz <- !n
 
 let push_eta st e =
   let cap = Array.length st.etas in
@@ -264,7 +292,9 @@ let price st =
    entering column q pivots at row r with tableau element alpha_r; for
    every nonbasic j, the pivot-row entry beta_j = (B^-T e_r) . A_j drives
    both the reference-weight update and the reduced-cost update
-   d_j -= (d_q / alpha_r) beta_j. Runs before the basis arrays change. *)
+   d_j -= (d_q / alpha_r) beta_j. Each column's update is independent of
+   the others, so walking the pattern in any order does exactly what a
+   scan of every column does. Runs before the basis arrays change. *)
 let pivot_update st ~enter ~r ~alpha_r =
   let gamma_q = st.devex.(enter) in
   let d_q = st.d.(enter) in
@@ -272,7 +302,8 @@ let pivot_update st ~enter ~r ~alpha_r =
   pivot_row st;
   let step = d_q /. alpha_r in
   let too_big = ref false in
-  for j = 0 to st.nall - 1 do
+  for k = 0 to st.row_nnz - 1 do
+    let j = st.pattern.(k) in
     if st.status.(j) <> Basic && j <> enter then begin
       let beta = st.beta.(j) in
       if beta <> 0. then begin
@@ -618,6 +649,11 @@ let initialize ?params:(p = default_params) ~slack sf =
     alpha = Array.make m 0.;
     rho = Array.make m 0.;
     beta = Array.make nall 0.;
+    pattern = Array.make nall 0;
+    row_nnz = 0;
+    row_nstruct = 0;
+    stamp = Array.make tot 0;
+    mark = 0;
     lu = lu0;
     etas = [||];
     n_etas = 0;
@@ -817,7 +853,8 @@ let dual_pivot st dw ~r ~enter ~above =
      the stored pivot row. The frozen artificials are skipped here as in
      the ratio test; the closing phase 2 rebuilds their reduced costs. *)
   let step = st.d.(enter) /. alpha_r in
-  for j = 0 to st.tot - 1 do
+  for k = 0 to st.row_nstruct - 1 do
+    let j = st.pattern.(k) in
     if st.status.(j) <> Basic && j <> enter then begin
       let b = st.beta.(j) in
       if b <> 0. then st.d.(j) <- st.d.(j) -. (step *. b)
@@ -860,6 +897,15 @@ let dual_pivot st dw ~r ~enter ~above =
     refresh_reduced_costs st
   end;
   step
+
+(* Pass 2's choice over the pivot row's pattern, which lists columns in
+   the order they were first reached: column [j] with pivot magnitude
+   [aa] displaces the current choice [best] (magnitude [best_abs]) when
+   it is larger, or as large and of a smaller index. In any order that
+   ends on the column an ascending scan keeping the first strict
+   maximum ends on. *)
+let[@inline] pass2_prefers ~aa ~j ~best_abs ~best =
+  aa > best_abs || (aa = best_abs && j < best)
 
 (* The dual iteration over a state [install_slack_basis] prepared. Raises
    [Numerical_failure] like the primal loop; the caller falls back. *)
@@ -921,11 +967,16 @@ let run_dual st =
        btran_unit st r;
        (* Pass 1 (Harris-style): relaxed bound on the dual step, letting
           each reduced cost overshoot by the dual tolerance. Both passes
-          skip the artificials, frozen at [0,0] on this path. *)
+          walk the structural part of the pattern, since a column outside
+          it has a zero entry and never qualifies; they skip the
+          artificials, frozen at [0,0] on this path. Pass 1 takes a
+          minimum, the same in any order. *)
        let ratio_sp = Obs.Span.begin_ "lp.ratio_test" in
        pivot_row st;
+       let pattern = st.pattern and n_struct = st.row_nstruct in
        let theta_max = ref infinity in
-       for j = 0 to st.tot - 1 do
+       for k = 0 to n_struct - 1 do
+         let j = pattern.(k) in
          if st.status.(j) <> Basic && st.lb.(j) < st.ub.(j) then begin
            let b = beta.(j) in
            let a = s *. b in
@@ -955,9 +1006,11 @@ let run_dual st =
          raise Exit
        end;
        (* Pass 2: among columns whose exact ratio fits under the relaxed
-          step, the largest pivot magnitude wins (numerical stability). *)
+          step, the largest pivot magnitude wins (numerical stability),
+          ties to the smallest index. *)
        let enter = ref (-1) and enter_abs = ref 0. in
-       for j = 0 to st.tot - 1 do
+       for k = 0 to n_struct - 1 do
+         let j = pattern.(k) in
          if st.status.(j) <> Basic && st.lb.(j) < st.ub.(j) then begin
            let a = s *. beta.(j) in
            let ratio =
@@ -974,7 +1027,8 @@ let run_dual st =
            in
            if ratio <= !theta_max then begin
              let aa = abs_float a in
-             if aa > !enter_abs then begin
+             if pass2_prefers ~aa ~j ~best_abs:!enter_abs ~best:!enter
+             then begin
                enter_abs := aa;
                enter := j
              end
@@ -1024,15 +1078,24 @@ let run_dual st =
    verdict. Artificial columns are absent: a feasible point has none. The
    tolerance matches phase 1's 1e-6 verdict, since a gap g forces
    ||A x - b||_1 >= g / max|rho_i| at every x in the box; its second
-   term absorbs the rounding of the sums. *)
+   term absorbs the rounding of the sums.
+
+   The argument holds for any rho, so the check first zeroes every
+   multiplier within 1e-12 max|rho_i| of zero. Those are BTRAN roundoff
+   in the row of B^-1: on an infinite bound, the single product of one
+   such multiplier with a coefficient would make the range infinite and
+   reject an otherwise sound row. *)
 let certifies_infeasibility (sf : Standard_form.t) rho =
-  let rho_b = ref 0. and rho_max = ref 0. and mag = ref 0. in
+  let rho_max = Array.fold_left (fun acc r -> max acc (abs_float r)) 0. rho in
+  let rho =
+    Array.map (fun r -> if abs_float r <= 1e-12 *. rho_max then 0. else r) rho
+  in
+  let rho_b = ref 0. and mag = ref 0. in
   Array.iteri
     (fun i r ->
       let t = r *. sf.b.(i) in
       rho_b := !rho_b +. t;
-      mag := !mag +. abs_float t;
-      rho_max := max !rho_max (abs_float r))
+      mag := !mag +. abs_float t)
     rho;
   let lo = ref 0. and hi = ref 0. in
   Array.iteri
@@ -1046,7 +1109,7 @@ let certifies_infeasibility (sf : Standard_form.t) rho =
         if Float.is_finite high then mag := !mag +. abs_float high
       end)
     (Csc.matvec sf.rows rho);
-  let tol = (1e-6 *. !rho_max) +. (1e-9 *. !mag) in
+  let tol = (1e-6 *. rho_max) +. (1e-9 *. !mag) in
   !rho_b > !hi +. tol || !rho_b < !lo -. tol
 
 (* Dual-first driver over a state [install_slack_basis] prepared.

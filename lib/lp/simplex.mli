@@ -67,3 +67,14 @@ val solve_two_phase : ?params:params -> Model.t -> Status.outcome
 (** The two-phase primal alone, from the artificial basis: the referee
     that tests and the scale bench compare {!solve} against. Production
     code calls {!solve}. *)
+
+val pass2_prefers : aa:float -> j:int -> best_abs:float -> best:int -> bool
+(** The tie rule of the dual ratio test's second pass. That pass walks
+    the pivot row's nonzero pattern, which lists columns in the order
+    they were first reached, not by index. Column [j] with pivot
+    magnitude [aa] displaces the current choice [best] (magnitude
+    [best_abs]; [best = -1] and [best_abs = 0.] before the first) when
+    [aa] is larger, or equal and [j < best]. Over any order this picks
+    what an ascending scan keeping the first strict maximum picks: the
+    largest magnitude, ties to the smallest index. Exposed for its
+    test. *)

@@ -26,17 +26,30 @@ let of_model model =
     lb.(v) <- Model.lower_bound model var;
     ub.(v) <- Model.upper_bound model var
   done;
+  (* Model rows are deduplicated, ascending by variable and free of
+     zeros, and row r's logical column n + r sorts after every
+     structural: the row-wise copy is filled in CSC order directly, with
+     no builder and no per-column sort, and [a] is its transpose. *)
+  let colptr = Array.make (m + 1) 0 in
+  Model.iter_rows model (fun r terms _ _ ->
+      let r = (r :> int) in
+      colptr.(r + 1) <- colptr.(r) + List.length terms + 1);
+  let rowind = Array.make colptr.(m) 0 and values = Array.make colptr.(m) 0. in
   let b = Array.make m 0. in
-  let builder = Sparselin.Csc.builder ~nrows:m ~ncols:total in
   Model.iter_rows model (fun r terms sense rhs ->
       let r = (r :> int) in
-      List.iter
-        (fun ((v : Model.var), c) ->
-          Sparselin.Csc.add builder ~row:r ~col:(v :> int) c)
-        terms;
-      b.(r) <- rhs;
+      let k =
+        List.fold_left
+          (fun k ((v : Model.var), c) ->
+            rowind.(k) <- (v :> int);
+            values.(k) <- c;
+            k + 1)
+          colptr.(r) terms
+      in
       let slack = n + r in
-      Sparselin.Csc.add builder ~row:r ~col:slack 1.;
+      rowind.(k) <- slack;
+      values.(k) <- 1.;
+      b.(r) <- rhs;
       match sense with
       | Model.Le ->
           lb.(slack) <- 0.;
@@ -47,9 +60,12 @@ let of_model model =
       | Model.Eq ->
           lb.(slack) <- 0.;
           ub.(slack) <- 0.);
-  let a = Sparselin.Csc.finalize builder in
-  { a;
-    rows = Sparselin.Csc.transpose a;
+  let rows =
+    Sparselin.Csc.of_sorted_columns ~nrows:total ~ncols:m ~colptr ~rowind
+      ~values
+  in
+  { a = Sparselin.Csc.transpose rows;
+    rows;
     b; cost; lb; ub;
     n_struct = n;
     n_rows = m;

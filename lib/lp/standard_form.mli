@@ -10,10 +10,11 @@
     the cost vector ([flip_objective] records this). *)
 
 type t = {
-  a : Sparselin.Csc.t;  (** m x (n_struct + m). *)
+  a : Sparselin.Csc.t;  (** m x (n_struct + m); [Csc.transpose rows]. *)
   rows : Sparselin.Csc.t;
-      (** [Csc.transpose a]: column [i] is row [i] of [a], which lets the
-          simplex form a pivot row from the nonzeros of B^-T e_r alone. *)
+      (** The row-wise copy: column [i] is row [i] of [a], which lets the
+          simplex form a pivot row from the nonzeros of B^-T e_r alone.
+          Filled from the model's rows in O(nnz), with no sort. *)
   b : float array;
   cost : float array;
   lb : float array;

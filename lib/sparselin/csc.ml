@@ -94,6 +94,26 @@ let finalize b =
     rowind = Array.sub out_rows 0 !out;
     values = Array.sub out_vals 0 !out }
 
+let of_sorted_columns ~nrows ~ncols ~colptr ~rowind ~values =
+  let bad what = invalid_arg ("Csc.of_sorted_columns: " ^ what) in
+  if nrows < 0 || ncols < 0 then bad "negative dimension";
+  if Array.length colptr <> ncols + 1 || colptr.(0) <> 0 then bad "colptr";
+  let nnz = colptr.(ncols) in
+  if Array.length rowind <> nnz || Array.length values <> nnz then
+    bad "array lengths";
+  for j = 0 to ncols - 1 do
+    if colptr.(j + 1) < colptr.(j) then bad "colptr decreases"
+  done;
+  for j = 0 to ncols - 1 do
+    let prev = ref (-1) in
+    for k = colptr.(j) to colptr.(j + 1) - 1 do
+      let r = rowind.(k) in
+      if r <= !prev || r >= nrows then bad "row index unsorted or out of range";
+      prev := r
+    done
+  done;
+  { nrows; ncols; colptr; rowind; values }
+
 let nrows m = m.nrows
 let ncols m = m.ncols
 let nnz m = m.colptr.(m.ncols)
@@ -185,6 +205,26 @@ let matvec_add m x y =
         Array.unsafe_set y r (Array.unsafe_get y r +. (m.values.(k) *. xj))
       done
   done
+
+let matvec_add_pattern m x y ~stamp ~mark pattern =
+  if Array.length x <> m.ncols || Array.length y < m.nrows
+     || Array.length stamp < m.nrows || Array.length pattern < m.nrows
+  then invalid_arg "Csc.matvec_add_pattern: size mismatch";
+  let n = ref 0 in
+  for j = 0 to m.ncols - 1 do
+    let xj = x.(j) in
+    if xj <> 0. then
+      for k = m.colptr.(j) to m.colptr.(j + 1) - 1 do
+        let r = m.rowind.(k) in
+        if Array.unsafe_get stamp r <> mark then begin
+          Array.unsafe_set stamp r mark;
+          Array.unsafe_set pattern !n r;
+          incr n
+        end;
+        Array.unsafe_set y r (Array.unsafe_get y r +. (m.values.(k) *. xj))
+      done
+  done;
+  !n
 
 let matvec m x =
   if Array.length x <> m.ncols then invalid_arg "Csc.matvec: size mismatch";

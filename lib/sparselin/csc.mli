@@ -17,6 +17,22 @@ val finalize : builder -> t
     Within each column, rows are sorted ascending. The builder remains
     usable. *)
 
+val of_sorted_columns :
+  nrows:int ->
+  ncols:int ->
+  colptr:int array ->
+  rowind:int array ->
+  values:float array ->
+  t
+(** The matrix whose column [j] holds the entries [(rowind.(k),
+    values.(k))] for [k] from [colptr.(j)] to [colptr.(j + 1) - 1]. The
+    arrays are taken as they are, not copied, and values are stored as
+    given. Checks in O(nnz + ncols) that [colptr] has [ncols + 1]
+    entries, starts at 0, never decreases and ends at the common length
+    of [rowind] and [values], and that each column's row indices lie in
+    [0, nrows) and strictly ascend; raises [Invalid_argument]
+    otherwise. *)
+
 val nrows : t -> int
 val ncols : t -> int
 val nnz : t -> int
@@ -59,6 +75,20 @@ val matvec_add : t -> float array -> float array -> unit
     [m(i,j) * x.(j)] over the nonzero [x.(j)] in ascending [j]. Allocates
     nothing. Raises [Invalid_argument] unless [x] has [ncols m] entries
     and [y] at least [nrows m]. *)
+
+val matvec_add_pattern :
+  t -> float array -> float array -> stamp:int array -> mark:int ->
+  int array -> int
+(** [matvec_add_pattern m x y ~stamp ~mark pattern] is [matvec_add m x
+    y] that also lists the rows of [y] it reaches: the first time a row
+    [i] gains a product, [stamp.(i)] is set to [mark] and [i] appended
+    to [pattern]. Returns the number of rows listed, each exactly once,
+    in the order first reached; a row whose sum cancels to [0.] stays
+    listed. A row is taken as already reached when [stamp.(i) = mark],
+    so a caller that passes a new [mark] on every call never clears
+    [stamp]. Allocates nothing. Raises [Invalid_argument] unless [x] has
+    [ncols m] entries and [y], [stamp] and [pattern] at least [nrows
+    m]. *)
 
 val matvec_t : t -> float array -> float array
 (** [matvec_t m y] is the dense product [transpose m * y]. *)

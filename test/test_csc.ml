@@ -96,6 +96,42 @@ let test_out_of_range () =
   Alcotest.check_raises "bad col" (Invalid_argument "Csc.add: col out of range")
     (fun () -> Csc.add b ~row:0 ~col:(-1) 1.)
 
+let test_of_sorted_columns () =
+  (* The sample matrix, column by column. *)
+  let m =
+    Csc.of_sorted_columns ~nrows:3 ~ncols:3 ~colptr:[| 0; 2; 3; 5 |]
+      ~rowind:[| 0; 2; 1; 0; 2 |] ~values:[| 1.; 4.; 3.; 2.; 5. |]
+  in
+  Alcotest.(check bool) "same as the builder's" true
+    (Csc.to_dense m = Csc.to_dense (sample ()));
+  Alcotest.(check int) "nnz" 5 (Csc.nnz m);
+  let empty =
+    Csc.of_sorted_columns ~nrows:4 ~ncols:2 ~colptr:[| 0; 0; 0 |]
+      ~rowind:[||] ~values:[||]
+  in
+  Alcotest.(check int) "empty columns" 0 (Csc.nnz empty);
+  let rejects what ~nrows ~colptr ~rowind =
+    match
+      Csc.of_sorted_columns ~nrows ~ncols:(Array.length colptr - 1) ~colptr
+        ~rowind ~values:(Array.make (Array.length rowind) 1.)
+    with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "unsorted rows" ~nrows:3 ~colptr:[| 0; 2 |] ~rowind:[| 2; 0 |];
+  rejects "repeated row" ~nrows:3 ~colptr:[| 0; 2 |] ~rowind:[| 1; 1 |];
+  rejects "row past the end" ~nrows:3 ~colptr:[| 0; 1 |] ~rowind:[| 3 |];
+  rejects "negative row" ~nrows:3 ~colptr:[| 0; 1 |] ~rowind:[| -1 |];
+  rejects "colptr not from 0" ~nrows:3 ~colptr:[| 1; 1 |] ~rowind:[| 0 |];
+  rejects "colptr decreasing" ~nrows:3 ~colptr:[| 0; 2; 1; 2 |]
+    ~rowind:[| 0; 1 |];
+  rejects "colptr past nnz" ~nrows:3 ~colptr:[| 0; 3 |] ~rowind:[| 0; 1 |];
+  Alcotest.check_raises "values of another length"
+    (Invalid_argument "Csc.of_sorted_columns: array lengths") (fun () ->
+      ignore
+        (Csc.of_sorted_columns ~nrows:3 ~ncols:1 ~colptr:[| 0; 1 |]
+           ~rowind:[| 0 |] ~values:[||]))
+
 let prop_matvec_matches_dense =
   QCheck2.Test.make ~name:"csc matvec matches dense reference" ~count:100
     QCheck2.Gen.(
@@ -135,4 +171,6 @@ let suite =
     Alcotest.test_case "select columns" `Quick test_select_columns;
     Alcotest.test_case "empty" `Quick test_empty;
     Alcotest.test_case "out of range" `Quick test_out_of_range;
+    Alcotest.test_case "sorted-column constructor" `Quick
+      test_of_sorted_columns;
     QCheck_alcotest.to_alcotest prop_matvec_matches_dense ]

@@ -567,6 +567,168 @@ let test_production_flow_joint () =
       run_fig6 "flow-joint")
 
 (* ------------------------------------------------------------------ *)
+(* Certificate roundoff. On 4-DC Fig. 6-shaped runs (30 GB links, up to 8
+   files per slot, deadlines 1..3) some blocked rows carry multipliers of
+   ~1e-16: BTRAN roundoff that, times a column with an infinite bound,
+   makes the range check infinite unless the certificate ignores
+   multipliers within 1e-12 of the largest. Each run below has such a
+   row, and without that rule sends it to the two-phase primal. This
+   scheduler admits like Postcard's (the same program, highest-rate file
+   dropped first; on a complete topology every file is deliverable) and
+   re-solves every infeasible program with the two-phase referee. *)
+
+let referee_checked_postcard ~verdicts ~disagreements =
+  Postcard.Scheduler.stateless ~name:"postcard-refereed" ~fluid:false
+    (fun ctx files ->
+      let try_solve subset =
+        if subset = [] then Some Postcard.Plan.empty
+        else begin
+          let p =
+            Formulate.create ~base:ctx.Postcard.Scheduler.base
+              ~charged:ctx.Postcard.Scheduler.charged
+              ~capacity:(Postcard.Scheduler.capacity_at_epoch ctx)
+              ~files:subset ~epoch:ctx.Postcard.Scheduler.epoch
+              ~tie_break:1e-7 ()
+          in
+          let model = Formulate.model p in
+          match Lp.Simplex.solve model with
+          | Status.Infeasible ->
+              incr verdicts;
+              if Lp.Simplex.solve_two_phase model <> Status.Infeasible then
+                incr disagreements;
+              None
+          | outcome -> (
+              match Formulate.interpret p outcome with
+              | Formulate.Scheduled { plan; _ }, _ -> Some plan
+              | (Formulate.Infeasible | Formulate.Solver_failure _), _ ->
+                  None)
+        end
+      in
+      match Postcard.Scheduler.admit_greedy ~files ~try_solve with
+      | Some (plan, accepted, rejected) ->
+          { Postcard.Scheduler.plan; accepted; rejected }
+      | None ->
+          { Postcard.Scheduler.plan = Postcard.Plan.empty; accepted = [];
+            rejected = files })
+
+(* Run [run] of [postcard_sim custom --nodes 4 --capacity 30 --max-files 8
+   --max-deadline 3 --slots 8 --seed 1]. *)
+let fig6_run_4dc ~scheduler run =
+  let nodes = 4 and capacity = 30. in
+  let base =
+    Netgraph.Topology.complete ~n:nodes
+      ~rng:(Prelude.Rng.of_int (7919 + run))
+      ~cost_lo:1. ~cost_hi:10. ~capacity
+  in
+  let spec =
+    { (Sim.Workload.paper_spec ~nodes ~files_max:8 ~max_deadline:3) with
+      Sim.Workload.size_max = 100.;
+      urgent_size_cap = Some capacity }
+  in
+  let workload = Sim.Workload.create spec (Prelude.Rng.of_int (104729 + run)) in
+  ignore (Sim.Engine.run (Sim.Engine.make ~base ~scheduler ~workload ~slots:8 ()))
+
+let certificate_runs = [ 20; 22; 25; 54; 75 ]
+
+let test_blocked_rows_certified () =
+  let verdicts = ref 0 and disagreements = ref 0 in
+  let (), log =
+    simplex_debug_log (fun () ->
+        List.iter
+          (fun run ->
+            fig6_run_4dc
+              ~scheduler:(referee_checked_postcard ~verdicts ~disagreements)
+              run)
+          certificate_runs)
+  in
+  Alcotest.(check (list string)) "no solve fell back to two-phase" []
+    (List.filter (String.ends_with ~suffix:"solving two-phase") log);
+  Alcotest.(check bool)
+    (Printf.sprintf "infeasible verdicts were reached (%d)" !verdicts)
+    true (!verdicts > 0);
+  Alcotest.(check int) "every verdict matches the two-phase referee" 0
+    !disagreements
+
+(* ------------------------------------------------------------------ *)
+(* Regression gate: a fixed set of lp-throttled-shaped runs (the
+   benchmark workload's topology and script derivation, fewer slots) with
+   its solver effort and outcome pinned exactly. A solver change that is
+   meant to be bit-identical must leave every field as it is; one that
+   moves a pivot, a refactorization, a rounding of the bill or a byte
+   fails here and must re-pin the table with the reason. *)
+
+type gate_record = {
+  g_solves : int;
+  g_pivots : int;
+  g_dual_pivots : int;
+  g_refactorizations : int;
+  g_cost : int64;  (* Int64.bits_of_float of the final cost per interval *)
+  g_offered : int64;
+  g_delivered : int64;
+  g_rejected : int64;
+}
+
+let gate_instances = [ (1024, 20); (1025, 20); (1026, 20); (1027, 20) ]
+
+(* Four instances of the perfbench lp-throttled seed-1 set (instance
+   seeds 1024 + i), 20 slots each: 96 solves over 80 slots. Pinned before
+   the nonzero-only pivot row, standard form and arc maps (DESIGN.md
+   section 4j), which left every field as it was. *)
+let gate_expected =
+  [ { g_solves = 28; g_pivots = 1548; g_dual_pivots = 1548;
+      g_refactorizations = 37; g_cost = 0x40b49d1e0af07168L;
+      g_offered = 0x40aa9334edae1598L; g_delivered = 0x40a7f08a93bba2f1L;
+      g_rejected = 0x40751552cf93953bL };
+    { g_solves = 23; g_pivots = 1807; g_dual_pivots = 1805;
+      g_refactorizations = 46; g_cost = 0x40b9d4d28c053ae7L;
+      g_offered = 0x40ae87b54f6bafd7L; g_delivered = 0x40ad54f97de55738L;
+      g_rejected = 0x40632bbd18658a04L };
+    { g_solves = 23; g_pivots = 1781; g_dual_pivots = 1781;
+      g_refactorizations = 47; g_cost = 0x40ba19b268d3f088L;
+      g_offered = 0x40b06058c8e30ca2L; g_delivered = 0x40af1b5be97047a6L;
+      g_rejected = 0x406a555a855d19edL };
+    { g_solves = 22; g_pivots = 1845; g_dual_pivots = 1845;
+      g_refactorizations = 47; g_cost = 0x40ba4e18c6838aabL;
+      g_offered = 0x40ae10060dc66bc9L; g_delivered = 0x40ad98060dc66bc9L;
+      g_rejected = 0x404e000000000000L } ]
+
+let gate_run (iseed, slots) =
+  let outcome, solves =
+    traced_solves (fun () ->
+        Sim.Engine.run (throttled_instance ~iseed ~slots))
+  in
+  let sum field =
+    List.fold_left
+      (fun acc ev -> acc + Option.value ~default:0 (Reader.int_field ev field))
+      0 solves
+  in
+  let bits = Int64.bits_of_float in
+  let series = outcome.Sim.Engine.cost_series in
+  { g_solves = List.length solves;
+    g_pivots = sum "iterations";
+    g_dual_pivots = sum "dual_pivots";
+    g_refactorizations = sum "refactorizations";
+    g_cost = bits series.(Array.length series - 1);
+    g_offered = bits outcome.Sim.Engine.offered_volume;
+    g_delivered = bits outcome.Sim.Engine.delivered_volume;
+    g_rejected = bits outcome.Sim.Engine.rejected_volume }
+
+let pp_gate_record r =
+  Printf.sprintf
+    "{ g_solves = %d; g_pivots = %d; g_dual_pivots = %d;\n\
+    \    g_refactorizations = %d; g_cost = 0x%LxL;\n\
+    \    g_offered = 0x%LxL; g_delivered = 0x%LxL;\n\
+    \    g_rejected = 0x%LxL }"
+    r.g_solves r.g_pivots r.g_dual_pivots r.g_refactorizations r.g_cost
+    r.g_offered r.g_delivered r.g_rejected
+
+let test_regression_gate () =
+  let got = List.map gate_run gate_instances in
+  Alcotest.(check (list string)) "pinned solver effort, bill and bytes"
+    (List.map pp_gate_record gate_expected)
+    (List.map pp_gate_record got)
+
+(* ------------------------------------------------------------------ *)
 (* The bench aggregates are recomputed from per-slot records; tampering
    with either side must be caught. *)
 
@@ -622,6 +784,10 @@ let suite =
       test_production_flow_two_stage;
     Alcotest.test_case "production: flow-joint on the dual path" `Quick
       test_production_flow_joint;
+    Alcotest.test_case "regression gate: lp-throttled runs are pinned"
+      `Quick test_regression_gate;
+    Alcotest.test_case "4-DC blocked rows are certified, as the referee says"
+      `Quick test_blocked_rows_certified;
     to_alcotest prop_dual_equals_referee;
     to_alcotest prop_dual_equals_referee_under_outage;
     to_alcotest prop_tight_verdicts_match_referee;

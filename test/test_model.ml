@@ -105,6 +105,84 @@ let test_standard_form () =
   Alcotest.(check (float 0.)) "Eq slack fixed lb" 0. sf.Lp.Standard_form.lb.(4);
   Alcotest.(check (float 0.)) "Eq slack fixed ub" 0. sf.Lp.Standard_form.ub.(4)
 
+(* [Standard_form.of_model] fills the row-wise copy straight from the
+   model's rows and transposes it into [a]. The oracle is the path it
+   replaced: a triplet builder over the rows and their logicals,
+   [Csc.finalize] (which sorts and merges each column) and a transpose.
+   Both must give the same matrices, pattern and value bits alike. *)
+let builder_oracle model =
+  let module Csc = Sparselin.Csc in
+  let n = Model.num_vars model and m = Model.num_rows model in
+  let b = Csc.builder ~nrows:m ~ncols:(n + m) in
+  Model.iter_rows model (fun r terms _ _ ->
+      let r = (r :> int) in
+      List.iter
+        (fun ((v : Model.var), c) -> Csc.add b ~row:r ~col:(v :> int) c)
+        terms;
+      Csc.add b ~row:r ~col:(n + r) 1.);
+  let a = Csc.finalize b in
+  (a, Csc.transpose a)
+
+let check_same_csc what x y =
+  let module Csc = Sparselin.Csc in
+  Alcotest.(check (pair int int)) (what ^ ": dimensions")
+    (Csc.nrows x, Csc.ncols x) (Csc.nrows y, Csc.ncols y);
+  Alcotest.(check int) (what ^ ": nnz") (Csc.nnz x) (Csc.nnz y);
+  let bits col =
+    Array.map (fun (i, v) -> (i, Int64.bits_of_float v)) col |> Array.to_list
+  in
+  for j = 0 to Csc.ncols x - 1 do
+    if bits (Csc.column x j) <> bits (Csc.column y j) then
+      Alcotest.failf "%s: column %d differs" what j
+  done
+
+let check_against_oracle what model =
+  let sf = Lp.Standard_form.of_model model in
+  let a, rows = builder_oracle model in
+  check_same_csc (what ^ ": a") a sf.Lp.Standard_form.a;
+  check_same_csc (what ^ ": rows") rows sf.Lp.Standard_form.rows
+
+let test_standard_form_matches_builder () =
+  let m = Model.create Model.Maximize in
+  let x = Model.add_var m ~obj:3. () in
+  let y = Model.add_var m ~obj:(-1.) ~lb:1. ~ub:6. () in
+  let z = Model.add_var m ~lb:neg_infinity () in
+  ignore (Model.add_constraint m [ (z, 0.5); (x, 1.); (y, 2.) ] Model.Le 10.);
+  ignore (Model.add_constraint m [] Model.Le 1.);
+  ignore (Model.add_constraint m [ (x, 1.); (y, 2.); (x, 3.) ] Model.Ge 2.);
+  ignore (Model.add_constraint m [ (y, 0.); (z, 1e-300) ] Model.Eq 3.);
+  ignore (Model.add_constraint m [ (z, 2.); (z, -2.); (x, 0.1) ] Model.Ge 0.);
+  ignore (Model.add_constraint m [ (y, 1.); (y, -1.) ] Model.Eq 0.);
+  check_against_oracle "fixed" m;
+  let rng = Prelude.Rng.of_int 77 in
+  for trial = 1 to 60 do
+    let m =
+      Model.create (if trial mod 2 = 0 then Model.Minimize else Model.Maximize)
+    in
+    let n = 1 + Prelude.Rng.int rng 12 in
+    let vars = Model.add_vars m n () in
+    for _ = 0 to Prelude.Rng.int rng 10 do
+      let terms =
+        List.init (Prelude.Rng.int rng 8) (fun _ ->
+            let c =
+              match Prelude.Rng.int rng 4 with
+              | 0 -> 0.
+              | 1 -> float_of_int (Prelude.Rng.int rng 5 - 2)
+              | _ -> Prelude.Rng.float_range rng (-10.) 10.
+            in
+            (vars.(Prelude.Rng.int rng n), c))
+      in
+      let sense =
+        match Prelude.Rng.int rng 3 with
+        | 0 -> Model.Le
+        | 1 -> Model.Ge
+        | _ -> Model.Eq
+      in
+      ignore (Model.add_constraint m terms sense 1.)
+    done;
+    check_against_oracle (Printf.sprintf "random %d" trial) m
+  done
+
 let suite =
   [ Alcotest.test_case "defaults" `Quick test_defaults;
     Alcotest.test_case "names" `Quick test_names;
@@ -115,4 +193,6 @@ let suite =
     Alcotest.test_case "objective value" `Quick test_objective_value;
     Alcotest.test_case "constraint violation" `Quick test_constraint_violation;
     Alcotest.test_case "add_vars bulk" `Quick test_add_vars_bulk;
-    Alcotest.test_case "standard form" `Quick test_standard_form ]
+    Alcotest.test_case "standard form" `Quick test_standard_form;
+    Alcotest.test_case "standard form: direct fill = builder oracle" `Quick
+      test_standard_form_matches_builder ]

@@ -208,17 +208,39 @@ let test_transportation () =
    ascending row order, over the row-wise copy of A. Per column that must
    reproduce Csc.dot_col bit for bit: the terms it skips are products with
    an exact zero (of either sign), and the rest are added in the same
-   order. *)
-let check_pivot_row what a rho =
+   order. The pattern-listing scatter the simplex uses must equal the
+   plain one bit for bit, and list exactly the columns some nonzero rho_i
+   reaches, each once, those whose sum cancels to 0 included; [stamp] is
+   shared across calls, as in the solver, so a stale mark would show. *)
+let check_pivot_row ~stamp ~mark what a rho =
   let module Csc = Sparselin.Csc in
-  let beta = Array.make (Csc.ncols a) 0. in
-  Csc.matvec_add (Csc.transpose a) rho beta;
+  let n = Csc.ncols a in
+  let rows = Csc.transpose a in
+  let beta = Array.make n 0. in
+  Csc.matvec_add rows rho beta;
   Array.iteri
     (fun j b ->
       let dot = Csc.dot_col a j rho in
       if Int64.bits_of_float b <> Int64.bits_of_float dot then
         Alcotest.failf "%s: column %d: row-wise %h, dot_col %h" what j b dot)
-    beta
+    beta;
+  let listed = Array.make n 0. and pattern = Array.make n (-1) in
+  let k = Csc.matvec_add_pattern rows rho listed ~stamp ~mark pattern in
+  Array.iteri
+    (fun j b ->
+      if Int64.bits_of_float b <> Int64.bits_of_float listed.(j) then
+        Alcotest.failf "%s: column %d: pattern scatter %h, matvec_add %h" what
+          j listed.(j) b)
+    beta;
+  let reached =
+    List.filter
+      (fun j ->
+        Csc.fold_col a j ~init:false ~f:(fun acc i _ -> acc || rho.(i) <> 0.))
+      (List.init n Fun.id)
+  in
+  Alcotest.(check (list int)) (what ^ ": pattern = columns reached") reached
+    (List.sort_uniq compare (Array.to_list (Array.sub pattern 0 k)));
+  Alcotest.(check int) (what ^ ": each column listed once") (List.length reached) k
 
 let random_rho rng m =
   Array.init m (fun _ ->
@@ -242,8 +264,13 @@ let test_pivot_row_bit_identical () =
       in
       Csc.add b ~row:(Prelude.Rng.int rng m) ~col:(Prelude.Rng.int rng n) v
     done;
-    check_pivot_row (Printf.sprintf "random %d" trial) (Csc.finalize b)
-      (random_rho rng m)
+    let a = Csc.finalize b in
+    let stamp = Array.make n 0 in
+    check_pivot_row ~stamp ~mark:1 (Printf.sprintf "random %d" trial) a
+      (random_rho rng m);
+    check_pivot_row ~stamp ~mark:2
+      (Printf.sprintf "random %d, second call" trial)
+      a (random_rho rng m)
   done;
   (* The standard form's own row-wise copy, slack columns included. *)
   let model = Model.create Model.Minimize in
@@ -259,10 +286,49 @@ let test_pivot_row_bit_identical () =
   let a = sf.Lp.Standard_form.a and rows = sf.Lp.Standard_form.rows in
   Alcotest.(check bool) "rows is the transpose of a" true
     (Csc.to_dense rows = Sparselin.Dense.transpose (Csc.to_dense a));
+  let stamp = Array.make (Csc.ncols a) 0 in
   for trial = 1 to 20 do
-    check_pivot_row (Printf.sprintf "standard form %d" trial) a
+    check_pivot_row ~stamp ~mark:trial
+      (Printf.sprintf "standard form %d" trial)
+      a
       (random_rho rng sf.Lp.Standard_form.n_rows)
   done
+
+(* Pass 2 of the dual ratio test walks the pivot row's pattern in the
+   order its columns were first reached. With magnitudes drawn from a
+   handful of values, ties are the rule; the choice must be the column an
+   ascending scan with a strict [>] keeps, whatever the order. *)
+let prop_pass2_tie_rule =
+  QCheck2.Test.make ~name:"dual pass 2 picks what an ascending scan picks"
+    ~count:300
+    QCheck2.Gen.(
+      let* n = int_range 1 40 in
+      let* mags = array_size (return n) (oneofl [ 0.5; 1.; 2.; 4. ]) in
+      let* keys = array_size (return n) (int_bound 1_000_000) in
+      return (mags, keys))
+    (fun (mags, keys) ->
+      let n = Array.length mags in
+      let order = Array.init n Fun.id in
+      Array.stable_sort (fun a b -> compare keys.(a) keys.(b)) order;
+      let best = ref (-1) and best_abs = ref 0. in
+      Array.iter
+        (fun j ->
+          let aa = mags.(j) in
+          if Lp.Simplex.pass2_prefers ~aa ~j ~best_abs:!best_abs ~best:!best
+          then begin
+            best := j;
+            best_abs := aa
+          end)
+        order;
+      let scan = ref (-1) and scan_abs = ref 0. in
+      Array.iteri
+        (fun j aa ->
+          if aa > !scan_abs then begin
+            scan := j;
+            scan_abs := aa
+          end)
+        mags;
+      !best = !scan)
 
 let suite =
   [ Alcotest.test_case "textbook max" `Quick test_textbook_max;
@@ -284,4 +350,5 @@ let suite =
     Alcotest.test_case "primal feasibility" `Quick test_primal_feasibility_reported;
     Alcotest.test_case "transportation" `Quick test_transportation;
     Alcotest.test_case "pivot row bit-identical" `Quick
-      test_pivot_row_bit_identical ]
+      test_pivot_row_bit_identical;
+    QCheck_alcotest.to_alcotest prop_pass2_tie_rule ]
