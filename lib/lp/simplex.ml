@@ -44,21 +44,37 @@ type state = {
   x : float array;  (* nall *)
   (* Per-pivot vectors, allocated once per solve: the FTRAN'd entering
      column (m), row r of the basis inverse (m) and the pivot row over
-     every column (nall), which is zero outside its nonzero pattern. *)
+     every column (nall), each zero outside its nonzero pattern. The
+     patterns of alpha and rho list every nonzero once, in ascending
+     order; each vector is cleared through its pattern before reuse. *)
   alpha : float array;
+  alpha_pat : int array;
+  mutable alpha_nnz : int;
   rho : float array;
+  rho_pat : int array;
+  mutable rho_nnz : int;
   beta : float array;
   (* The pivot row's pattern: [pattern.(0 .. row_nnz - 1)] lists every
      column whose entry of [beta] may be nonzero, each once, the
      structurals reached by [rho] first ([row_nstruct] of them, in the
      order first reached), then the artificials of the nonzero [rho_i].
      [stamp] (tot) marks the structurals listed under [mark], which
-     [pivot_row] advances, so it is never cleared. *)
+     [pivot_row] advances, so it is never cleared; the solves stamp rows
+     in it the same way. *)
   pattern : int array;
   mutable row_nnz : int;
   mutable row_nstruct : int;
   stamp : int array;
   mutable mark : int;
+  (* Every row, listed for the dense right-hand sides. *)
+  all_rows : int array;
+  (* The rows whose basic value may violate a bound: every violating row
+     is listed in [infeas.(0 .. n_infeas - 1)] (with [listed] set) from
+     [recompute_basics] on; dual pricing drops the rows it finds
+     feasible, and a dual pivot re-checks the rows whose value moved. *)
+  infeas : int array;
+  listed : bool array;
+  mutable n_infeas : int;
   mutable lu : Lu.t;
   (* Eta file in application (oldest-first) order: FTRAN walks it forward,
      BTRAN backward. A growable array keeps the hot loops allocation-free
@@ -96,41 +112,122 @@ let dot_column st j v =
   if j < st.tot then Csc.dot_col st.sf.Standard_form.a j v
   else st.art_sign.(j - st.tot) *. v.(j - st.tot)
 
-(* [v] := column [j] of the working matrix. *)
-let load_column st j v =
-  Array.fill v 0 st.m 0.;
-  if j < st.tot then Csc.scatter_col st.sf.Standard_form.a j v
-  else v.(j - st.tot) <- st.art_sign.(j - st.tot)
+(* A fresh mark with [pattern.(0 .. nz - 1)] stamped under it. *)
+let stamp_pattern st pattern nz =
+  st.mark <- st.mark + 1;
+  for k = 0 to nz - 1 do
+    Array.unsafe_set st.stamp (Array.unsafe_get pattern k) st.mark
+  done;
+  st.mark
 
 (* Profiling probes on the solver kernels fire per call, so they use the
    raw begin/end pair (one atomic load each when [--spans] is off) rather
-   than [Span.with_]'s closure. Nothing in these bodies raises. *)
-let ftran st v =
+   than [Span.with_]'s closure. Nothing in these bodies raises.
+
+   [ftran st v pattern nz] is [v] := B^-1 v and [btran] [v] := B^-T v,
+   for a [v] zero outside [pattern.(0 .. nz - 1)]; both return the
+   result's pattern count. A dense right-hand side lists every row and
+   takes the LU's dense sweep. *)
+let ftran st v pattern nz =
   let sp = Obs.Span.begin_ "lp.ftran" in
-  Lu.solve st.lu v;
-  for k = 0 to st.n_etas - 1 do
-    Eta.apply_ftran (Array.unsafe_get st.etas k) v
-  done;
-  Obs.Span.end_ sp
+  let nz = Lu.ftran st.lu v pattern nz in
+  let nz =
+    if st.n_etas = 0 then nz
+    else begin
+      let mark = stamp_pattern st pattern nz in
+      let nz = ref nz in
+      for k = 0 to st.n_etas - 1 do
+        nz :=
+          Eta.apply_ftran (Array.unsafe_get st.etas k) v ~stamp:st.stamp
+            ~mark pattern !nz
+      done;
+      !nz
+    end
+  in
+  Obs.Span.end_ sp;
+  nz
 
-let btran st v =
+let btran st v pattern nz =
   let sp = Obs.Span.begin_ "lp.btran" in
-  for k = st.n_etas - 1 downto 0 do
-    Eta.apply_btran (Array.unsafe_get st.etas k) v
-  done;
-  Lu.solve_transpose st.lu v;
-  Obs.Span.end_ sp
+  let nz =
+    if st.n_etas = 0 then nz
+    else begin
+      let mark = stamp_pattern st pattern nz in
+      let nz = ref nz in
+      for k = st.n_etas - 1 downto 0 do
+        nz :=
+          Eta.apply_btran (Array.unsafe_get st.etas k) v ~stamp:st.stamp
+            ~mark pattern !nz
+      done;
+      !nz
+    end
+  in
+  let nz = Lu.btran st.lu v pattern nz in
+  Obs.Span.end_ sp;
+  nz
 
-(* Row [r] of the basis inverse: [st.rho] := B^-T e_r. *)
+(* Put [pattern.(0 .. nz - 1)] in ascending order, the order a scan of
+   every index visits it. A pattern too long to insertion-sort cheaply is
+   rebuilt by that scan over [v] instead, which drops entries that
+   cancelled to zero. Returns the count. *)
+let sort_pattern v pattern nz =
+  let m = Array.length v in
+  if nz * nz > 4 * m then begin
+    let k = ref 0 in
+    for i = 0 to m - 1 do
+      if v.(i) <> 0. then begin
+        pattern.(!k) <- i;
+        incr k
+      end
+    done;
+    !k
+  end
+  else begin
+    for a = 1 to nz - 1 do
+      let x = pattern.(a) in
+      let b = ref (a - 1) in
+      while !b >= 0 && pattern.(!b) > x do
+        pattern.(!b + 1) <- pattern.(!b);
+        decr b
+      done;
+      pattern.(!b + 1) <- x
+    done;
+    nz
+  end
+
+(* The entering column through the basis inverse: [st.alpha] := B^-1 A_j,
+   with its pattern ascending. *)
+let ftran_column st j =
+  let alpha = st.alpha and pat = st.alpha_pat in
+  for k = 0 to st.alpha_nnz - 1 do
+    alpha.(pat.(k)) <- 0.
+  done;
+  let nz =
+    if j < st.tot then Csc.scatter_col st.sf.Standard_form.a j alpha pat
+    else begin
+      alpha.(j - st.tot) <- st.art_sign.(j - st.tot);
+      pat.(0) <- j - st.tot;
+      1
+    end
+  in
+  st.alpha_nnz <- sort_pattern alpha pat (ftran st alpha pat nz)
+
+(* Row [r] of the basis inverse: [st.rho] := B^-T e_r, with its pattern
+   ascending. *)
 let btran_unit st r =
-  Array.fill st.rho 0 st.m 0.;
-  st.rho.(r) <- 1.;
-  btran st st.rho
+  let rho = st.rho and pat = st.rho_pat in
+  for k = 0 to st.rho_nnz - 1 do
+    rho.(pat.(k)) <- 0.
+  done;
+  rho.(r) <- 1.;
+  pat.(0) <- r;
+  st.rho_nnz <- sort_pattern rho pat (btran st rho pat 1)
 
 (* The pivot row [st.beta.(j)] := rho . A_j for every column j of
    [A | artificials], from [st.rho], with its pattern. The previous row
    is cleared through its pattern. The row-wise copy of A scatters each
-   nonzero rho_i in ascending row order. For every column these are the
+   nonzero rho_i, walking rho's pattern in ascending row order. For
+   every column these are the
    nonzero terms of [dot_column], added in the same order: the terms
    skipped are products with an exact zero, so each entry is
    bit-identical to the per-column dot product. A column outside the
@@ -142,11 +239,12 @@ let pivot_row st =
   done;
   st.mark <- st.mark + 1;
   let n_struct =
-    Csc.matvec_add_pattern st.sf.Standard_form.rows rho beta
-      ~stamp:st.stamp ~mark:st.mark pattern
+    Csc.matvec_add_sparse st.sf.Standard_form.rows rho st.rho_pat st.rho_nnz
+      beta ~stamp:st.stamp ~mark:st.mark pattern
   in
   let n = ref n_struct in
-  for i = 0 to st.m - 1 do
+  for k = 0 to st.rho_nnz - 1 do
+    let i = st.rho_pat.(k) in
     let r = rho.(i) in
     if r <> 0. then begin
       let j = st.tot + i in
@@ -187,8 +285,33 @@ let factorize st =
       Obs.Span.end_ sp;
       raise Numerical_failure
 
+let all_rows st =
+  let p = st.all_rows in
+  for i = 0 to st.m - 1 do
+    p.(i) <- i
+  done;
+  p
+
+(* How far row [i]'s basic value lies outside its bounds beyond the
+   feasibility tolerance; 0. inside. *)
+let[@inline] infeasibility st i =
+  let bv = st.basis.(i) in
+  let xv = st.x.(bv) in
+  let feas = st.p.feasibility_tolerance in
+  if xv < st.lb.(bv) -. feas then st.lb.(bv) -. xv
+  else if xv > st.ub.(bv) +. feas then xv -. st.ub.(bv)
+  else 0.
+
+(* List row [i] if its basic value violates a bound. *)
+let note_infeasible st i =
+  if (not st.listed.(i)) && infeasibility st i > 0. then begin
+    st.listed.(i) <- true;
+    st.infeas.(st.n_infeas) <- i;
+    st.n_infeas <- st.n_infeas + 1
+  end
+
 (* Recompute the values of basic variables from the nonbasic assignment:
-   x_B = B^-1 (b - A_N x_N). *)
+   x_B = B^-1 (b - A_N x_N), and list the rows that violate a bound. *)
 let recompute_basics st =
   let rhs = Array.copy st.sf.Standard_form.b in
   for j = 0 to st.nall - 1 do
@@ -198,9 +321,14 @@ let recompute_basics st =
          let xj = st.x.(j) in
          if xj <> 0. then iter_column st j (fun i v -> rhs.(i) <- rhs.(i) -. (v *. xj)))
   done;
-  ftran st rhs;
+  ignore (ftran st rhs (all_rows st) st.m);
   for i = 0 to st.m - 1 do
     st.x.(st.basis.(i)) <- rhs.(i)
+  done;
+  Array.fill st.listed 0 st.m false;
+  st.n_infeas <- 0;
+  for i = 0 to st.m - 1 do
+    note_infeasible st i
   done
 
 let basic_cost_multipliers st =
@@ -208,7 +336,7 @@ let basic_cost_multipliers st =
   for i = 0 to st.m - 1 do
     y.(i) <- st.cost.(st.basis.(i))
   done;
-  btran st y;
+  ignore (btran st y (all_rows st) st.m);
   y
 
 let reduced_cost st y j = st.cost.(j) -. dot_column st j y
@@ -383,9 +511,12 @@ let[@inline] row_limit st ~alpha ~dir ~piv_tol ~slack i =
   end
   else infinity
 
-(* Two-pass ratio test. [dir] is +1. when the entering variable increases,
-   -1. when it decreases; [alpha] is the FTRAN'd entering column. *)
-let ratio_scan st ~alpha ~dir ~enter =
+(* Two-pass ratio test over the FTRAN'd entering column [st.alpha]. [dir]
+   is +1. when the entering variable increases, -1. when it decreases.
+   Both passes walk alpha's ascending pattern: a row outside it has no
+   limit, so they pick what a scan of every row picks. *)
+let ratio_scan st ~dir ~enter =
+  let alpha = st.alpha and pat = st.alpha_pat in
   let feas = st.p.feasibility_tolerance in
   let piv_tol = st.p.pivot_tolerance in
   let t_bound =
@@ -395,7 +526,8 @@ let ratio_scan st ~alpha ~dir ~enter =
   in
   (* Pass 1: relaxed maximum step. *)
   let t_max = ref t_bound in
-  for i = 0 to st.m - 1 do
+  for k = 0 to st.alpha_nnz - 1 do
+    let i = pat.(k) in
     let l = row_limit st ~alpha ~dir ~piv_tol ~slack:feas i in
     if l < !t_max then t_max := l
   done;
@@ -405,7 +537,8 @@ let ratio_scan st ~alpha ~dir ~enter =
        prefer the largest pivot magnitude (numerical stability). In Bland
        mode, prefer the smallest basic variable index among exact minima. *)
     let choice = ref (-1) and choice_limit = ref infinity and choice_abs = ref 0. in
-    for i = 0 to st.m - 1 do
+    for k = 0 to st.alpha_nnz - 1 do
+      let i = pat.(k) in
       let l = row_limit st ~alpha ~dir ~piv_tol ~slack:0. i in
       if l <= !t_max then begin
         let a = abs_float alpha.(i) in
@@ -434,18 +567,19 @@ let ratio_scan st ~alpha ~dir ~enter =
     end
   end
 
-let ratio_test st ~alpha ~dir ~enter =
+let ratio_test st ~dir ~enter =
   let sp = Obs.Span.begin_ "lp.ratio_test" in
-  let r = ratio_scan st ~alpha ~dir ~enter in
+  let r = ratio_scan st ~dir ~enter in
   Obs.Span.end_ sp;
   r
 
 (* Apply a step of length [t] (in the entering direction [dir]); updates
-   every basic value and the entering variable's value. *)
-let apply_step st ~alpha ~dir ~enter ~t =
+   every basic value alpha reaches and the entering variable's value. *)
+let apply_step st ~dir ~enter ~t =
   if t <> 0. then begin
-    for i = 0 to st.m - 1 do
-      let delta = dir *. alpha.(i) in
+    for k = 0 to st.alpha_nnz - 1 do
+      let i = st.alpha_pat.(k) in
+      let delta = dir *. st.alpha.(i) in
       if delta <> 0. then begin
         let bvar = st.basis.(i) in
         st.x.(bvar) <- st.x.(bvar) -. (delta *. t)
@@ -514,9 +648,8 @@ let run_phase st =
            else raise Exit
        | Entering (enter, d) ->
            st.iterations <- st.iterations + 1;
+           ftran_column st enter;
            let alpha = st.alpha in
-           load_column st enter alpha;
-           ftran st alpha;
            let dir =
              match st.status.(enter) with
              | At_lower -> 1.
@@ -524,7 +657,7 @@ let run_phase st =
              | At_zero_free -> if d < 0. then 1. else -1.
              | Basic -> assert false
            in
-           (match ratio_test st ~alpha ~dir ~enter with
+           (match ratio_test st ~dir ~enter with
             | Ratio_unbounded ->
                 if st.perturbed then begin
                   restore_costs st;
@@ -535,7 +668,7 @@ let run_phase st =
                   raise Exit
                 end
             | Bound_flip t ->
-                apply_step st ~alpha ~dir ~enter ~t;
+                apply_step st ~dir ~enter ~t;
                 st.bound_flips <- st.bound_flips + 1;
                 (match st.status.(enter) with
                  | At_lower ->
@@ -547,7 +680,7 @@ let run_phase st =
                  | At_zero_free | Basic -> assert false);
                 note_degeneracy st t
             | Hit_basic (r, t) ->
-                apply_step st ~alpha ~dir ~enter ~t;
+                apply_step st ~dir ~enter ~t;
                 pivot_update st ~enter ~r ~alpha_r:alpha.(r);
                 let leaving = st.basis.(r) in
                 let delta_r = dir *. alpha.(r) in
@@ -561,7 +694,7 @@ let run_phase st =
                 end;
                 st.basis.(r) <- enter;
                 st.status.(enter) <- Basic;
-                (match Eta.make ~pos:r ~alpha with
+                (match Eta.of_pattern ~pos:r ~alpha st.alpha_pat st.alpha_nnz with
                  | eta -> push_eta st eta
                  | exception Invalid_argument _ ->
                      (* Pivot too small for a stable eta update: rebuild the
@@ -632,14 +765,7 @@ let initialize ?params:(p = default_params) ~slack sf =
       x.(tot + i) <- abs_float resid.(i)
     done
   end;
-  let lu0 =
-    match
-      Lu.factorize ~dim:m (fun k ->
-          [| (k, if slack then 1. else art_sign.(k)) |])
-    with
-    | Ok lu -> lu
-    | Error (Lu.Singular _) -> assert false
-  in
+  let lu0 = Lu.diagonal (if slack then Array.make m 1. else art_sign) in
   { p; sf; m; tot; nall; art_sign; lb; ub;
     cost = Array.make nall 0.;
     cost_orig = Array.make nall 0.;
@@ -647,13 +773,21 @@ let initialize ?params:(p = default_params) ~slack sf =
     d = Array.make nall 0.;
     status; basis; x;
     alpha = Array.make m 0.;
+    alpha_pat = Array.make m 0;
+    alpha_nnz = 0;
     rho = Array.make m 0.;
+    rho_pat = Array.make m 0;
+    rho_nnz = 0;
     beta = Array.make nall 0.;
     pattern = Array.make nall 0;
     row_nnz = 0;
     row_nstruct = 0;
     stamp = Array.make tot 0;
     mark = 0;
+    all_rows = Array.make m 0;
+    infeas = Array.make m 0;
+    listed = Array.make m false;
+    n_infeas = 0;
     lu = lu0;
     etas = [||];
     n_etas = 0;
@@ -844,9 +978,8 @@ let dual_pivot st dw ~r ~enter ~above =
   let leaving = st.basis.(r) in
   (* Entering column through the basis inverse: needed for the eta
      update, the primal step and the row-weight update. *)
-  let alpha = st.alpha in
-  load_column st enter alpha;
-  ftran st alpha;
+  ftran_column st enter;
+  let alpha = st.alpha and pat = st.alpha_pat in
   let alpha_r = alpha.(r) in
   if abs_float alpha_r <= st.p.pivot_tolerance then raise Numerical_failure;
   (* Reduced costs: the same rank-one update as a primal pivot, against
@@ -866,7 +999,7 @@ let dual_pivot st dw ~r ~enter ~above =
      bound; every other basic value follows. *)
   let bound = if above then st.ub.(leaving) else st.lb.(leaving) in
   let t = (st.x.(leaving) -. bound) /. alpha_r in
-  apply_step st ~alpha ~dir:1. ~enter ~t;
+  apply_step st ~dir:1. ~enter ~t;
   st.status.(leaving) <- (if above then At_upper else At_lower);
   st.x.(leaving) <- bound;
   st.basis.(r) <- enter;
@@ -874,7 +1007,8 @@ let dual_pivot st dw ~r ~enter ~above =
   (* Dual Devex row weights, reference-framework style. *)
   let wr = dw.(r) in
   let too_big = ref false in
-  for i = 0 to st.m - 1 do
+  for k = 0 to st.alpha_nnz - 1 do
+    let i = pat.(k) in
     if i <> r && alpha.(i) <> 0. then begin
       let q = alpha.(i) /. alpha_r in
       let cand = q *. q *. wr in
@@ -885,7 +1019,11 @@ let dual_pivot st dw ~r ~enter ~above =
   dw.(r) <- max (wr /. (alpha_r *. alpha_r)) 1.;
   if dw.(r) > 1e8 then too_big := true;
   if !too_big then Array.fill dw 0 st.m 1.;
-  (match Eta.make ~pos:r ~alpha with
+  (* Only the rows alpha reaches moved, row r among them. *)
+  for k = 0 to st.alpha_nnz - 1 do
+    note_infeasible st pat.(k)
+  done;
+  (match Eta.of_pattern ~pos:r ~alpha pat st.alpha_nnz with
    | eta -> push_eta st eta
    | exception Invalid_argument _ ->
        factorize st;
@@ -907,10 +1045,39 @@ let dual_pivot st dw ~r ~enter ~above =
 let[@inline] pass2_prefers ~aa ~j ~best_abs ~best =
   aa > best_abs || (aa = best_abs && j < best)
 
+(* Dual pricing's choice over the listed rows, which come in no
+   particular order: row [i] with score [score] displaces the current
+   choice [best] (score [best_score]) when its score is larger, or as
+   large and of a smaller row. The pick is that of a scan of every row
+   keeping the first strict maximum. *)
+let[@inline] pricing_prefers ~score ~i ~best_score ~best =
+  score > best_score || (score = best_score && i < best)
+
+(* Dual Devex pricing: the listed row with the largest weight-scaled
+   bound violation leaves; -1 when none violates a bound. Rows found
+   feasible are dropped from the list. *)
+let price_rows st dw =
+  let r = ref (-1) and best_score = ref 0. and kept = ref 0 in
+  for k = 0 to st.n_infeas - 1 do
+    let i = st.infeas.(k) in
+    let infeas = infeasibility st i in
+    if infeas > 0. then begin
+      st.infeas.(!kept) <- i;
+      incr kept;
+      let score = infeas *. infeas /. dw.(i) in
+      if pricing_prefers ~score ~i ~best_score:!best_score ~best:!r then begin
+        best_score := score;
+        r := i
+      end
+    end
+    else st.listed.(i) <- false
+  done;
+  st.n_infeas <- !kept;
+  !r
+
 (* The dual iteration over a state [install_slack_basis] prepared. Raises
    [Numerical_failure] like the primal loop; the caller falls back. *)
 let run_dual st =
-  let feas = st.p.feasibility_tolerance in
   let piv_tol = st.p.pivot_tolerance in
   let dtol = st.p.dual_tolerance in
   let dw = Array.make st.m 1. in
@@ -928,29 +1095,12 @@ let run_dual st =
        (* Dual Devex pricing: the basic variable with the largest
           weight-scaled bound violation leaves. *)
        let price_sp = Obs.Span.begin_ "lp.pricing" in
-       let r = ref (-1) and best_score = ref 0. in
-       for i = 0 to st.m - 1 do
-         let bv = st.basis.(i) in
-         let xv = st.x.(bv) in
-         let infeas =
-           if xv < st.lb.(bv) -. feas then st.lb.(bv) -. xv
-           else if xv > st.ub.(bv) +. feas then xv -. st.ub.(bv)
-           else 0.
-         in
-         if infeas > 0. then begin
-           let score = infeas *. infeas /. dw.(i) in
-           if score > !best_score then begin
-             best_score := score;
-             r := i
-           end
-         end
-       done;
+       let r = price_rows st dw in
        Obs.Span.end_ price_sp;
-       if !r < 0 then begin
+       if r < 0 then begin
          result := Dual_optimal;
          raise Exit
        end;
-       let r = !r in
        let leaving = st.basis.(r) in
        let above = st.x.(leaving) > st.ub.(leaving) in
        (* Sign convention: with s = +1 when the leaving value sits above

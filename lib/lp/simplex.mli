@@ -78,3 +78,12 @@ val pass2_prefers : aa:float -> j:int -> best_abs:float -> best:int -> bool
     what an ascending scan keeping the first strict maximum picks: the
     largest magnitude, ties to the smallest index. Exposed for its
     test. *)
+
+val pricing_prefers : score:float -> i:int -> best_score:float -> best:int -> bool
+(** The tie rule of dual pricing. Pricing walks a list of the rows whose
+    basic value violates a bound, kept in no particular order. Row [i]
+    with score [score] (squared violation over its dual Devex weight)
+    displaces the current choice [best] (score [best_score]; [best = -1]
+    and [best_score = 0.] before the first) when [score] is larger, or
+    equal and [i < best]. Over any order this picks what a scan of every
+    row keeping the first strict maximum picks. Exposed for its test. *)

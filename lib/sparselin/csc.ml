@@ -141,11 +141,14 @@ let dot_col m j v =
   done;
   !acc
 
-let scatter_col m j v =
-  for k = m.colptr.(j) to m.colptr.(j + 1) - 1 do
+let scatter_col m j v pattern =
+  let lo = m.colptr.(j) in
+  for k = lo to m.colptr.(j + 1) - 1 do
     let r = m.rowind.(k) in
-    Array.unsafe_set v r (Array.unsafe_get v r +. m.values.(k))
-  done
+    Array.unsafe_set v r (Array.unsafe_get v r +. m.values.(k));
+    pattern.(k - lo) <- r
+  done;
+  m.colptr.(j + 1) - lo
 
 let transpose m =
   let nnz = nnz m in
@@ -206,12 +209,13 @@ let matvec_add m x y =
       done
   done
 
-let matvec_add_pattern m x y ~stamp ~mark pattern =
+let matvec_add_sparse m x cols nx y ~stamp ~mark pattern =
   if Array.length x <> m.ncols || Array.length y < m.nrows
      || Array.length stamp < m.nrows || Array.length pattern < m.nrows
-  then invalid_arg "Csc.matvec_add_pattern: size mismatch";
+  then invalid_arg "Csc.matvec_add_sparse: size mismatch";
   let n = ref 0 in
-  for j = 0 to m.ncols - 1 do
+  for c = 0 to nx - 1 do
+    let j = cols.(c) in
     let xj = x.(j) in
     if xj <> 0. then
       for k = m.colptr.(j) to m.colptr.(j + 1) - 1 do

@@ -51,8 +51,10 @@ val dot_col : t -> int -> float array -> float
 (** [dot_col m j v] is the dot product of column [j] with the dense vector
     [v] — a tight loop without closure dispatch, for solver hot paths. *)
 
-val scatter_col : t -> int -> float array -> unit
-(** [scatter_col m j v] adds column [j] into the dense vector [v]. *)
+val scatter_col : t -> int -> float array -> int array -> int
+(** [scatter_col m j v pattern] adds column [j] into the dense vector
+    [v] and lists its rows, ascending, in [pattern.(0 .. k - 1)], where
+    [k], the column's nonzero count, is returned. *)
 
 val transpose : t -> t
 (** [transpose m] is the [ncols m] x [nrows m] transpose: column [i] of the
@@ -76,19 +78,23 @@ val matvec_add : t -> float array -> float array -> unit
     nothing. Raises [Invalid_argument] unless [x] has [ncols m] entries
     and [y] at least [nrows m]. *)
 
-val matvec_add_pattern :
-  t -> float array -> float array -> stamp:int array -> mark:int ->
-  int array -> int
-(** [matvec_add_pattern m x y ~stamp ~mark pattern] is [matvec_add m x
-    y] that also lists the rows of [y] it reaches: the first time a row
-    [i] gains a product, [stamp.(i)] is set to [mark] and [i] appended
-    to [pattern]. Returns the number of rows listed, each exactly once,
-    in the order first reached; a row whose sum cancels to [0.] stays
-    listed. A row is taken as already reached when [stamp.(i) = mark],
-    so a caller that passes a new [mark] on every call never clears
-    [stamp]. Allocates nothing. Raises [Invalid_argument] unless [x] has
-    [ncols m] entries and [y], [stamp] and [pattern] at least [nrows
-    m]. *)
+val matvec_add_sparse :
+  t -> float array -> int array -> int -> float array -> stamp:int array ->
+  mark:int -> int array -> int
+(** [matvec_add_sparse m x cols nx y ~stamp ~mark pattern] is
+    [matvec_add m x y] for an [x] that is zero outside the columns
+    [cols.(0 .. nx - 1)], in O(nonzeros of those columns), and lists the
+    rows of [y] it reaches: the first time a row [i] gains a product,
+    [stamp.(i)] is set to [mark] and [i] appended to [pattern]. Columns
+    are scattered in the order listed, skipping [x.(j) = 0.]; with [cols]
+    ascending each [y.(i)] gains the same products in the same order as
+    under [matvec_add], so the sums are bit-identical. Returns the number
+    of rows listed, each exactly once, in the order first reached; a row
+    whose sum cancels to [0.] stays listed. A row is taken as already
+    reached when [stamp.(i) = mark], so a caller that passes a new [mark]
+    on every call never clears [stamp]. Allocates nothing. Raises
+    [Invalid_argument] unless [x] has [ncols m] entries and [y], [stamp]
+    and [pattern] at least [nrows m]. *)
 
 val matvec_t : t -> float array -> float array
 (** [matvec_t m y] is the dense product [transpose m * y]. *)

@@ -51,19 +51,45 @@ val fill_in : t -> int
     elimination. Every factorization also records its dimension, nnz and
     fill-in in the {!Obs.Metrics} registry (series [lu.*]). *)
 
-val solve : t -> float array -> unit
-(** [solve f b] overwrites [b] with the solution [x] of [B x = b]
-    (the simplex FTRAN). Allocates nothing: it works in a vector the
-    factor owns, so one factor must not be solved with from two domains
-    at once. *)
+val diagonal : float array -> t
+(** [diagonal d] is the factor {!factorize} builds for the diagonal
+    matrix with entries [d], built in O(n) with no elimination: identity
+    permutations, no L or U entry, [d] as U's diagonal. Counted as a
+    factorization in the [lu.*] metrics. Raises [Invalid_argument] when
+    an entry is too small to pivot on. *)
 
-val solve_transpose : t -> float array -> unit
-(** [solve_transpose f c] overwrites [c] with the solution [y] of
-    [transpose B y = c] (the simplex BTRAN). Hypersparse: only the
-    elimination steps that a nonzero of [c] reaches through the factors
-    are computed, and every other entry of [y] is exactly zero. The
-    result equals a full dot-product sweep in every nonzero bit.
-    Allocates nothing; the same one-domain rule as {!solve} applies. *)
+val ftran : t -> float array -> int array -> int -> int
+(** [ftran f b pattern nz] overwrites [b] with the solution [x] of
+    [B x = b] (the simplex FTRAN). On entry [pattern.(0 .. nz - 1)]
+    lists, each once, every row where [b] may be nonzero; [b] is zero
+    elsewhere. On exit [pattern.(0 .. k - 1)] lists, each once, the
+    columns where [x] is nonzero, and [k] is returned. [pattern] needs
+    [dim f] entries.
+
+    A right-hand side listing more than {!sparse_limit} entries is
+    solved by the dense sweep over every row, which writes every entry
+    of [b]. Otherwise only the steps that a nonzero reaches are computed,
+    in the dense sweep's order, and every entry outside the returned
+    pattern is left [+0.]: each nonzero is bit for bit the dense sweep's,
+    which may leave [-0.] where this leaves [+0.]. Allocates nothing: it
+    works in vectors the factor owns and leaves them clean, so one factor
+    must not be solved with from two domains at once. *)
+
+val btran : t -> float array -> int array -> int -> int
+(** [btran f c pattern nz] overwrites [c] with the solution [y] of
+    [transpose B y = c] (the simplex BTRAN), with patterns as in
+    {!ftran}: [pattern.(0 .. nz - 1)] lists the columns where [c] may be
+    nonzero on entry, [pattern.(0 .. k - 1)] the rows where [y] is
+    nonzero on exit. Hypersparse as {!ftran}, and with [c] [+0.] outside
+    its nonzeros the result equals the dense sweep's in every bit, signed
+    zeros included. Allocates nothing; the same one-domain rule
+    applies. *)
+
+val sparse_limit : t -> int
+(** The most steps a triangular phase of {!ftran} or {!btran} queues
+    before it finishes as the dense sweep, and the most right-hand-side
+    entries a solve starts sparse on: a thirty-second of the dimension,
+    where the heap walk stops paying against the sweep on Postcard bases. *)
 
 val min_abs_diag : t -> float
 (** Smallest pivot magnitude; a stability diagnostic. *)

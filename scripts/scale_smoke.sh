@@ -6,7 +6,9 @@
 # solve failed, or when the solvers disagree on feasibility; the smoke
 # additionally checks the emitted JSON (every slot on the dual path, zero
 # phase-1 pivots, a zero objective gap over refereed slots, no dual
-# failures) and cross-checks a traced simulation run through
+# failures, and the point's pinned pivot counts: 3691 dual first and
+# 20754 for the referee, with no slot cut by the budget) and
+# cross-checks a traced simulation run through
 # trace-summary (strict validation + per-slot reconciliation), demanding
 # that the trace, too, records every solve on the dual path.
 set -euo pipefail
@@ -42,6 +44,18 @@ if [ -z "$referee_slots" ] || [ "$referee_slots" -eq 0 ] \
 fi
 if ! grep -q '"dual_failures": 0,' "$dir/scale.json"; then
   echo "scale smoke: a dual-first solve failed at smoke scale" >&2
+  cat "$dir/scale.json" >&2
+  exit 1
+fi
+# Pivot counts are deterministic, so the whole point (754 rows) is
+# pinned: a kernel change that moves one pivot of either solver here
+# fails, at a size the unit tests' regression gate does not reach.
+referee_iterations=$(field referee_iterations)
+if ! grep -q '"truncated": false,' "$dir/scale.json" \
+  || [ "$(field dual_iterations)" != 3691 ] \
+  || [ "$referee_iterations" != 20754 ]; then
+  echo "scale smoke: 12x24 no longer runs all slots in 3691 dual-first" \
+    "and 20754 referee pivots" >&2
   cat "$dir/scale.json" >&2
   exit 1
 fi

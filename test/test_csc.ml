@@ -160,6 +160,43 @@ let prop_matvec_matches_dense =
       let got = Csc.matvec m x in
       Array.for_all2 (fun a b -> abs_float (a -. b) < 1e-9) expected got)
 
+(* Loading an entering column lists its rows, ascending, with the column
+   added into the vector. *)
+let test_scatter_col_lists_rows () =
+  let b = Csc.builder ~nrows:5 ~ncols:2 in
+  Csc.add b ~row:3 ~col:1 2.;
+  Csc.add b ~row:0 ~col:1 (-1.);
+  Csc.add b ~row:4 ~col:0 5.;
+  let m = Csc.finalize b in
+  let v = [| 0.; 0.; 0.; 1.; 0. |] and pattern = Array.make 5 (-1) in
+  let k = Csc.scatter_col m 1 v pattern in
+  Alcotest.(check int) "count" 2 k;
+  Alcotest.(check (array int)) "rows" [| 0; 3 |] (Array.sub pattern 0 k);
+  Alcotest.(check (array (float 0.))) "added" [| -1.; 0.; 0.; 3.; 0. |] v
+
+(* The pattern-walking product scatters only the listed columns, and
+   reads a zero listed entry as absent. *)
+let test_matvec_add_sparse () =
+  let b = Csc.builder ~nrows:4 ~ncols:3 in
+  Csc.add b ~row:0 ~col:0 1.;
+  Csc.add b ~row:2 ~col:0 2.;
+  Csc.add b ~row:2 ~col:2 3.;
+  Csc.add b ~row:3 ~col:1 4.;
+  let m = Csc.finalize b in
+  let x = [| 2.; 0.; -1. |] and y = Array.make 4 0. in
+  let stamp = Array.make 4 0 and pattern = Array.make 4 (-1) in
+  let k = Csc.matvec_add_sparse m x [| 0; 1; 2 |] 3 y ~stamp ~mark:1 pattern in
+  Alcotest.(check (array (float 0.))) "product" [| 2.; 0.; 1.; 0. |] y;
+  Alcotest.(check (array int)) "rows reached" [| 0; 2 |] (Array.sub pattern 0 k);
+  let y = Array.make 4 0. in
+  let k = Csc.matvec_add_sparse m x [| 2 |] 1 y ~stamp ~mark:2 pattern in
+  Alcotest.(check (array (float 0.))) "listed columns only" [| 0.; 0.; -3.; 0. |] y;
+  Alcotest.(check int) "one row" 1 k;
+  Alcotest.check_raises "size mismatch"
+    (Invalid_argument "Csc.matvec_add_sparse: size mismatch") (fun () ->
+      ignore
+        (Csc.matvec_add_sparse m [| 1. |] [| 0 |] 1 y ~stamp ~mark:3 pattern))
+
 let suite =
   [ Alcotest.test_case "dims" `Quick test_dims;
     Alcotest.test_case "get" `Quick test_get;
@@ -171,6 +208,9 @@ let suite =
     Alcotest.test_case "select columns" `Quick test_select_columns;
     Alcotest.test_case "empty" `Quick test_empty;
     Alcotest.test_case "out of range" `Quick test_out_of_range;
+    Alcotest.test_case "scatter_col lists the rows" `Quick
+      test_scatter_col_lists_rows;
+    Alcotest.test_case "matvec_add_sparse" `Quick test_matvec_add_sparse;
     Alcotest.test_case "sorted-column constructor" `Quick
       test_of_sorted_columns;
     QCheck_alcotest.to_alcotest prop_matvec_matches_dense ]

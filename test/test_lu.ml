@@ -11,13 +11,22 @@ let cols_of_dense d =
     done;
     Array.of_list !acc
 
+(* Dense right-hand sides list every row, which takes the dense sweep. *)
+let ftran f x =
+  let n = Array.length x in
+  ignore (Lu.ftran f x (Array.init n Fun.id) n)
+
+let btran f x =
+  let n = Array.length x in
+  ignore (Lu.btran f x (Array.init n Fun.id) n)
+
 let check_solve d b =
   let n = Array.length d in
   match Lu.factorize ~dim:n (cols_of_dense d) with
   | Error (Lu.Singular _) -> Alcotest.fail "unexpected singular"
   | Ok f ->
       let x = Array.copy b in
-      Lu.solve f x;
+      ftran f x;
       (* Verify A x = b. *)
       let ax = Dense.matvec d x in
       Array.iteri
@@ -25,7 +34,7 @@ let check_solve d b =
           Alcotest.(check (float 1e-8)) (Printf.sprintf "Ax=b row %d" i) b.(i) v)
         ax;
       let y = Array.copy b in
-      Lu.solve_transpose f y;
+      btran f y;
       let aty = Dense.matvec (Dense.transpose d) y in
       Array.iteri
         (fun i v ->
@@ -103,7 +112,7 @@ let test_random_sparse_solves () =
          Alcotest.fail (Printf.sprintf "trial %d: unexpected singular" trial)
      | Ok f ->
          let x = Array.copy b in
-         Lu.solve f x;
+         ftran f x;
          let ax = Dense.matvec d x in
          Array.iteri
            (fun i v ->
@@ -114,7 +123,7 @@ let test_random_sparse_solves () =
            ax;
          let y = Array.init n (fun _ -> Prelude.Rng.float_range rng (-1.) 1.) in
          let c = Array.copy y in
-         Lu.solve_transpose f c;
+         btran f c;
          let atc = Dense.matvec (Dense.transpose d) c in
          Array.iteri
            (fun i v ->
@@ -131,7 +140,7 @@ let test_explicit_col_order () =
   | Error _ -> Alcotest.fail "unexpected singular"
   | Ok f ->
       let x = [| 4.; 7. |] in
-      Lu.solve f x;
+      ftran f x;
       let ax = Dense.matvec d x in
       Alcotest.(check (float 1e-10)) "row 0" 4. ax.(0);
       Alcotest.(check (float 1e-10)) "row 1" 7. ax.(1)
@@ -195,7 +204,9 @@ let check_unit_btrans what d =
   for r = 0 to n - 1 do
     let y = Array.make n 0. in
     y.(r) <- 1.;
-    Lu.solve_transpose f y;
+    let pattern = Array.make n 0 in
+    pattern.(0) <- r;
+    ignore (Lu.btran f y pattern 1);
     let e = Array.make n 0. in
     e.(r) <- 1.;
     let dense =
@@ -327,33 +338,261 @@ let test_btran_unit_vectors () =
   check_unit_btrans "near-triangular" tri;
   check_unit_btrans "postcard basis" (postcard_basis ())
 
+(* ------------------------------------------------------------------ *)
+(* Pattern solves against the dense sweep. A right-hand side listing
+   every row takes the dense sweep; the same vector given by its nonzero
+   rows takes the sparse walk, which may switch to the sweep mid-phase.
+   BTRAN must agree in every bit, signed zeros included; FTRAN on every
+   nonzero, with +0. everywhere else. Either pattern must list the
+   nonzeros, each once. Every compared call follows the dense call, which
+   used the whole work vector. *)
+
+let bits = Int64.bits_of_float
+
+let check_pattern what ~solve y nz pattern =
+  let listed = List.sort compare (Array.to_list (Array.sub pattern 0 nz)) in
+  let nonzero =
+    List.filter (fun i -> y.(i) <> 0.) (List.init (Array.length y) Fun.id)
+  in
+  if listed <> nonzero then
+    Alcotest.failf "%s %s: pattern lists %d entries, %d nonzeros (or repeats)"
+      what solve nz (List.length nonzero)
+
+let check_against_sweep what f rhs =
+  let n = Lu.dim f in
+  let all = Array.init n Fun.id in
+  let load () =
+    let b = Array.make n 0. and pattern = Array.make n 0 and k = ref 0 in
+    List.iter
+      (fun (i, v) ->
+        b.(i) <- v;
+        pattern.(!k) <- i;
+        incr k)
+      rhs;
+    (b, pattern, !k)
+  in
+  (* FTRAN. *)
+  let dense = let b, _, _ = load () in b in
+  let dpat = Array.copy all in
+  let dnz = Lu.ftran f dense dpat n in
+  check_pattern what ~solve:"dense ftran" dense dnz dpat;
+  let b, pattern, k = load () in
+  let nz = Lu.ftran f b pattern k in
+  check_pattern what ~solve:"ftran" b nz pattern;
+  (* A right-hand side past the sparse limit is the sweep itself. *)
+  let swept = k > Lu.sparse_limit f in
+  Array.iteri
+    (fun i v ->
+      let want = if dense.(i) <> 0. || swept then bits dense.(i) else 0L in
+      if bits v <> want then
+        Alcotest.failf "%s ftran row %d: %h, dense sweep %h" what i v dense.(i))
+    b;
+  (* BTRAN. *)
+  let dense = let b, _, _ = load () in b in
+  let dpat = Array.copy all in
+  let dnz = Lu.btran f dense dpat n in
+  check_pattern what ~solve:"dense btran" dense dnz dpat;
+  let c, pattern, k = load () in
+  let nz = Lu.btran f c pattern k in
+  check_pattern what ~solve:"btran" c nz pattern;
+  Array.iteri
+    (fun i v ->
+      if bits v <> bits dense.(i) then
+        Alcotest.failf "%s btran row %d: %h, dense sweep %h" what i v dense.(i))
+    c
+
+let factor what d =
+  let n = Array.length d in
+  match Lu.factorize ~dim:n (cols_of_dense d) with
+  | Ok f -> f
+  | Error (Lu.Singular k) -> Alcotest.failf "%s: singular at step %d" what k
+
+(* Every unit vector, then random right-hand sides from one entry up to
+   one past the sparse limit, so a solve starts on the dense sweep. *)
+let check_matrix rng what d =
+  let f = factor what d in
+  let n = Array.length d and limit = Lu.sparse_limit f in
+  Alcotest.(check bool) (what ^ ": sparse walks possible") true (limit >= 1);
+  for r = 0 to n - 1 do
+    check_against_sweep (Printf.sprintf "%s e_%d" what r) f [ (r, 1.) ]
+  done;
+  for k = 1 to limit + 1 do
+    let rows = Array.sub (random_permutation rng n) 0 k in
+    check_against_sweep
+      (Printf.sprintf "%s %d entries" what k)
+      f
+      (Array.to_list
+         (Array.map (fun i -> (i, Prelude.Rng.float_range rng (-4.) 4.)) rows))
+  done
+
+let test_pattern_solves () =
+  let rng = Prelude.Rng.of_int 808 in
+  for trial = 1 to 3 do
+    let n = 64 + Prelude.Rng.int rng 100 in
+    (* Few off-diagonal entries: reaches stay short. *)
+    let d = Dense.identity n in
+    for i = 0 to n - 1 do
+      d.(i).(i) <- Prelude.Rng.float_range rng 1. 5.
+                   *. (if Prelude.Rng.bool rng then 1. else -1.)
+    done;
+    for _ = 1 to n / 2 do
+      let i = Prelude.Rng.int rng n and j = Prelude.Rng.int rng n in
+      if i <> j then d.(i).(j) <- Prelude.Rng.float_range rng (-0.9) 0.9
+    done;
+    check_matrix rng (Printf.sprintf "random sparse %d" trial) d;
+    check_matrix rng (Printf.sprintf "random denser %d" trial)
+      (random_nonsingular rng n)
+  done;
+  let n = 96 in
+  let perm = Dense.make n n in
+  Array.iteri
+    (fun i j -> perm.(i).(j) <- Prelude.Rng.float_range rng (-2.) 2.)
+    (random_permutation rng n);
+  check_matrix rng "permutation" perm;
+  let tri = Dense.identity n in
+  for i = 1 to n - 1 do
+    if Prelude.Rng.int rng 3 = 0 then
+      tri.(i).(Prelude.Rng.int rng i) <- Prelude.Rng.float_range rng (-2.) 2.
+  done;
+  tri.(3).(60) <- 0.7;
+  tri.(11).(85) <- -1.25;
+  check_matrix rng "near-triangular" tri;
+  check_matrix rng "postcard basis" (postcard_basis ())
+
+(* Both branches of the sparse walk: a block of the identity keeps a
+   unit right-hand side to one step, while a bidiagonal chain spreads e_0
+   (FTRAN) and e_(n-1) (BTRAN) over all n steps, past the sparse limit,
+   so those solves start sparse and finish on the sweep. *)
+let test_reach_branches () =
+  let n = 128 in
+  let d = Dense.identity n in
+  for i = 1 to n / 2 do
+    d.(i).(i - 1) <- -0.5 -. (float_of_int i /. float_of_int n)
+  done;
+  let f = factor "chain" d in
+  Alcotest.(check bool) "the chain outgrows the limit" true
+    (n / 2 > Lu.sparse_limit f && Lu.sparse_limit f >= 1);
+  let solve_count solve r =
+    let b = Array.make n 0. and pattern = Array.make n 0 in
+    b.(r) <- 1.;
+    pattern.(0) <- r;
+    solve f b pattern 1
+  in
+  Alcotest.(check bool) "ftran e_0 spreads past the limit" true
+    (solve_count Lu.ftran 0 > Lu.sparse_limit f);
+  Alcotest.(check bool) "btran e_(n/2) spreads past the limit" true
+    (solve_count Lu.btran (n / 2) > Lu.sparse_limit f);
+  Alcotest.(check int) "ftran of an identity row stays one step" 1
+    (solve_count Lu.ftran (n - 1));
+  Alcotest.(check int) "btran of an identity row stays one step" 1
+    (solve_count Lu.btran (n - 1));
+  List.iter
+    (fun r -> check_against_sweep (Printf.sprintf "chain e_%d" r) f [ (r, 1.) ])
+    [ 0; 1; n / 4; n / 2; n - 1 ];
+  (* A visited step whose dot product cancels: over a negative pivot the
+     sweep leaves -0. there, and so must the sparse walk. *)
+  let d = Dense.identity n in
+  d.(0).(2) <- 1.;
+  d.(1).(2) <- 1.;
+  d.(2).(2) <- -1.;
+  let f = factor "cancelling" d in
+  check_against_sweep "cancelling" f [ (0, 1.); (1, -1.) ];
+  let c = Array.make n 0. and pattern = Array.make n 0 in
+  c.(0) <- 1.;
+  c.(1) <- -1.;
+  pattern.(1) <- 1;
+  ignore (Lu.btran f c pattern 2);
+  Alcotest.(check bool) "the cancelled step reads -0." true
+    (bits c.(2) = bits (-0.))
+
+(* The slack start's factor: the one the elimination builds for a
+   diagonal, in every observable and every solve bit. *)
+let test_diagonal_factor () =
+  let rng = Prelude.Rng.of_int 99 in
+  let n = 70 in
+  let diag =
+    Array.init n (fun _ ->
+        Prelude.Rng.float_range rng 0.5 3. *. (if Prelude.Rng.bool rng then 1. else -1.))
+  in
+  let d = Dense.make n n in
+  Array.iteri (fun i v -> d.(i).(i) <- v) diag;
+  let built = factor "diagonal" d and direct = Lu.diagonal diag in
+  Alcotest.(check int) "nnz" (Lu.nnz built) (Lu.nnz direct);
+  Alcotest.(check int) "input nnz" (Lu.input_nnz built) (Lu.input_nnz direct);
+  Alcotest.(check int) "fill-in" (Lu.fill_in built) (Lu.fill_in direct);
+  Alcotest.(check bool) "min diag" true
+    (bits (Lu.min_abs_diag built) = bits (Lu.min_abs_diag direct));
+  Alcotest.(check bool) "permutations" true
+    (Lu.permutations built = Lu.permutations direct);
+  for trial = 0 to 20 do
+    let k = if trial = 0 then n else 1 + Prelude.Rng.int rng 3 in
+    let rows = Array.sub (random_permutation rng n) 0 k in
+    let v = Array.make n 0. in
+    Array.iter (fun i -> v.(i) <- Prelude.Rng.float_range rng (-3.) 3.) rows;
+    List.iter
+      (fun solve ->
+        let x = Array.copy v and y = Array.copy v in
+        let px = Array.make n 0 and py = Array.make n 0 in
+        Array.blit rows 0 px 0 k;
+        Array.blit rows 0 py 0 k;
+        let kx = solve built x px k and ky = solve direct y py k in
+        Alcotest.(check int) "pattern count" kx ky;
+        Array.iteri
+          (fun i a ->
+            if bits a <> bits y.(i) then
+              Alcotest.failf "diagonal solve row %d: %h vs %h" i a y.(i))
+          x)
+      [ Lu.ftran; Lu.btran ]
+  done;
+  Alcotest.check_raises "a zero entry is no pivot"
+    (Invalid_argument "Lu.diagonal: entry 1 is no pivot") (fun () ->
+      ignore (Lu.diagonal [| 1.; 0.; 2. |]))
+
 (* FTRAN and BTRAN work in the factor's own vectors: a thousand calls of
-   each allocate nothing. *)
+   each, sparse and dense, allocate nothing. *)
 let test_solves_allocate_nothing () =
-  let n = 60 in
-  let d = random_nonsingular (Prelude.Rng.of_int 77) n in
+  let n = 200 in
+  let d = Dense.identity n in
+  let rng = Prelude.Rng.of_int 77 in
+  for _ = 1 to n do
+    let i = Prelude.Rng.int rng n and j = Prelude.Rng.int rng n in
+    if i <> j then d.(i).(j) <- Prelude.Rng.float_range rng (-0.9) 0.9
+  done;
   match Lu.factorize ~dim:n (cols_of_dense d) with
   | Error _ -> Alcotest.fail "unexpected singular"
   | Ok f ->
-      let v = Array.make n 0. in
+      let v = Array.make n 0. and pattern = Array.make n 0 in
+      let unit r =
+        Array.fill v 0 n 0.;
+        v.(r) <- 1.;
+        pattern.(0) <- r
+      in
+      let full () =
+        Array.fill v 0 n 1.;
+        for i = 0 to n - 1 do
+          pattern.(i) <- i
+        done
+      in
       let spin calls =
         for k = 1 to calls do
-          Array.fill v 0 n 0.;
-          v.(k mod n) <- 1.;
-          Lu.solve f v;
-          Array.fill v 0 n 0.;
-          v.(k mod n) <- 1.;
-          Lu.solve_transpose f v
+          unit (k mod n);
+          ignore (Lu.ftran f v pattern 1);
+          unit (k mod n);
+          ignore (Lu.btran f v pattern 1);
+          full ();
+          ignore (Lu.ftran f v pattern n);
+          full ();
+          ignore (Lu.btran f v pattern n)
         done
       in
       spin 10;
       let w0 = Gc.minor_words () in
       spin 1_000;
       let dw = Gc.minor_words () -. w0 in
-      (* [Gc.minor_words] boxes its result; a few words over 2,000 solves
+      (* [Gc.minor_words] boxes its result; a few words over 4,000 solves
          mean the solves themselves allocate nothing. *)
       Alcotest.(check bool)
-        (Printf.sprintf "allocation-free (%.0f minor words / 2000 solves)" dw)
+        (Printf.sprintf "allocation-free (%.0f minor words / 4000 solves)" dw)
         true (dw < 64.)
 
 let suite =
@@ -368,5 +607,11 @@ let suite =
     Alcotest.test_case "random sparse solves" `Quick test_random_sparse_solves;
     Alcotest.test_case "explicit column order" `Quick test_explicit_col_order;
     Alcotest.test_case "btran of unit vectors" `Quick test_btran_unit_vectors;
+    Alcotest.test_case "pattern solves match the dense sweep" `Quick
+      test_pattern_solves;
+    Alcotest.test_case "sparse walk and its switch to the sweep" `Quick
+      test_reach_branches;
+    Alcotest.test_case "diagonal factor without elimination" `Quick
+      test_diagonal_factor;
     Alcotest.test_case "solves allocate nothing" `Quick
       test_solves_allocate_nothing ]

@@ -208,10 +208,11 @@ let test_transportation () =
    ascending row order, over the row-wise copy of A. Per column that must
    reproduce Csc.dot_col bit for bit: the terms it skips are products with
    an exact zero (of either sign), and the rest are added in the same
-   order. The pattern-listing scatter the simplex uses must equal the
-   plain one bit for bit, and list exactly the columns some nonzero rho_i
-   reaches, each once, those whose sum cancels to 0 included; [stamp] is
-   shared across calls, as in the solver, so a stale mark would show. *)
+   order. The scatter the simplex uses walks rho's nonzero pattern in
+   ascending row order; it must equal the plain one bit for bit, and
+   list exactly the columns some nonzero rho_i reaches, each once, those
+   whose sum cancels to 0 included; [stamp] is shared across calls, as
+   in the solver, so a stale mark would show. *)
 let check_pivot_row ~stamp ~mark what a rho =
   let module Csc = Sparselin.Csc in
   let n = Csc.ncols a in
@@ -225,7 +226,18 @@ let check_pivot_row ~stamp ~mark what a rho =
         Alcotest.failf "%s: column %d: row-wise %h, dot_col %h" what j b dot)
     beta;
   let listed = Array.make n 0. and pattern = Array.make n (-1) in
-  let k = Csc.matvec_add_pattern rows rho listed ~stamp ~mark pattern in
+  let m = Array.length rho in
+  let rho_pat = Array.make m 0 and nx = ref 0 in
+  Array.iteri
+    (fun i r ->
+      if r <> 0. then begin
+        rho_pat.(!nx) <- i;
+        incr nx
+      end)
+    rho;
+  let k =
+    Csc.matvec_add_sparse rows rho rho_pat !nx listed ~stamp ~mark pattern
+  in
   Array.iteri
     (fun j b ->
       if Int64.bits_of_float b <> Int64.bits_of_float listed.(j) then
@@ -330,6 +342,119 @@ let prop_pass2_tie_rule =
         mags;
       !best = !scan)
 
+(* Dual pricing walks its list of violating rows in whatever order the
+   list holds them. With scores drawn from a handful of values, ties are
+   the rule; the pick must be the row a scan of every row keeps with a
+   strict [>], rows of score 0 (feasible) never chosen. *)
+let prop_pricing_tie_rule =
+  QCheck2.Test.make ~name:"dual pricing picks what a scan of every row picks"
+    ~count:300
+    QCheck2.Gen.(
+      let* m = int_range 1 40 in
+      let* scores = array_size (return m) (oneofl [ 0.; 0.5; 1.; 2.; 4. ]) in
+      let* keys = array_size (return m) (int_bound 1_000_000) in
+      return (scores, keys))
+    (fun (scores, keys) ->
+      let m = Array.length scores in
+      let listed =
+        List.filter (fun i -> scores.(i) > 0.) (List.init m Fun.id)
+        |> List.sort (fun a b -> compare keys.(a) keys.(b))
+      in
+      let best = ref (-1) and best_score = ref 0. in
+      List.iter
+        (fun i ->
+          let score = scores.(i) in
+          if Lp.Simplex.pricing_prefers ~score ~i ~best_score:!best_score
+               ~best:!best
+          then begin
+            best := i;
+            best_score := score
+          end)
+        listed;
+      let scan = ref (-1) and scan_score = ref 0. in
+      Array.iteri
+        (fun i score ->
+          if score > !scan_score then begin
+            scan := i;
+            scan_score := score
+          end)
+        scores;
+      !best = !scan)
+
+(* The eta file's builder reads alpha through its sorted pattern. The
+   dense scan it replaced stays here as the oracle, with the dense
+   applications: an eta built from the pattern must apply bit for bit as
+   the scanned one does, in both directions. *)
+type dense_eta = { pos : int; diag : float; idx : int array; vals : float array }
+
+let scan_eta ~pos ~alpha =
+  let idx =
+    List.filter
+      (fun i -> i <> pos && alpha.(i) <> 0.)
+      (List.init (Array.length alpha) Fun.id)
+  in
+  { pos; diag = alpha.(pos); idx = Array.of_list idx;
+    vals = Array.of_list (List.map (fun i -> alpha.(i)) idx) }
+
+let scan_ftran e x =
+  let xp = x.(e.pos) /. e.diag in
+  x.(e.pos) <- xp;
+  if xp <> 0. then
+    Array.iteri (fun k i -> x.(i) <- x.(i) -. (e.vals.(k) *. xp)) e.idx
+
+let scan_btran e y =
+  let acc = ref y.(e.pos) in
+  Array.iteri (fun k i -> acc := !acc -. (e.vals.(k) *. y.(i))) e.idx;
+  y.(e.pos) <- !acc /. e.diag
+
+let test_eta_from_sorted_pattern () =
+  let module Eta = Sparselin.Eta in
+  let rng = Prelude.Rng.of_int 5150 in
+  let bits = Int64.bits_of_float in
+  for trial = 1 to 200 do
+    let m = 2 + Prelude.Rng.int rng 60 in
+    let pos = Prelude.Rng.int rng m in
+    let alpha = Array.make m 0. in
+    let listed = ref [ pos ] in
+    for _ = 1 to Prelude.Rng.int rng (m + 1) do
+      let i = Prelude.Rng.int rng m in
+      (* Some listed entries cancelled to zero, of either sign. *)
+      alpha.(i) <-
+        (match Prelude.Rng.int rng 6 with
+         | 0 -> 0.
+         | 1 -> -0.
+         | _ -> Prelude.Rng.float_range rng (-3.) 3.);
+      listed := i :: !listed
+    done;
+    alpha.(pos) <- Prelude.Rng.float_range rng 0.5 2. *. (if Prelude.Rng.bool rng then 1. else -1.);
+    let sorted = Array.of_list (List.sort_uniq compare !listed) in
+    let eta = Eta.of_pattern ~pos ~alpha sorted (Array.length sorted) in
+    let oracle = scan_eta ~pos ~alpha in
+    Alcotest.(check int) "nnz" (Array.length oracle.idx + 1) (Eta.nnz eta);
+    let full = Array.init m Fun.id and stamp = Array.make m 1 in
+    for _ = 1 to 3 do
+      let v = Array.init m (fun _ ->
+          if Prelude.Rng.bool rng then 0. else Prelude.Rng.float_range rng (-5.) 5.)
+      in
+      let a = Array.copy v and b = Array.copy v in
+      ignore (Eta.apply_ftran eta a ~stamp ~mark:1 (Array.copy full) m);
+      scan_ftran oracle b;
+      Array.iteri
+        (fun i x ->
+          if bits x <> bits b.(i) then
+            Alcotest.failf "trial %d ftran entry %d: %h vs scan %h" trial i x b.(i))
+        a;
+      let a = Array.copy v and b = Array.copy v in
+      ignore (Eta.apply_btran eta a ~stamp ~mark:1 (Array.copy full) m);
+      scan_btran oracle b;
+      Array.iteri
+        (fun i x ->
+          if bits x <> bits b.(i) then
+            Alcotest.failf "trial %d btran entry %d: %h vs scan %h" trial i x b.(i))
+        a
+    done
+  done
+
 let suite =
   [ Alcotest.test_case "textbook max" `Quick test_textbook_max;
     Alcotest.test_case "min with ge" `Quick test_min_with_ge;
@@ -351,4 +476,7 @@ let suite =
     Alcotest.test_case "transportation" `Quick test_transportation;
     Alcotest.test_case "pivot row bit-identical" `Quick
       test_pivot_row_bit_identical;
-    QCheck_alcotest.to_alcotest prop_pass2_tie_rule ]
+    QCheck_alcotest.to_alcotest prop_pass2_tie_rule;
+    QCheck_alcotest.to_alcotest prop_pricing_tie_rule;
+    Alcotest.test_case "eta from the sorted pattern applies as the scan's"
+      `Quick test_eta_from_sorted_pattern ]
