@@ -436,7 +436,9 @@ let bechamel_benches () =
     (* Factorize + solve a sparse near-triangular 200x200 system. *)
     let n = 200 in
     let rng = Prelude.Rng.of_int 9 in
-    let d = Sparselin.Dense.identity n in
+    let d =
+      Array.init n (fun i -> Array.init n (fun j -> if i = j then 1. else 0.))
+    in
     for _ = 1 to 3 * n do
       let i = Prelude.Rng.int rng n and j = Prelude.Rng.int rng n in
       if i <> j then d.(i).(j) <- Prelude.Rng.float_range rng (-0.5) 0.5

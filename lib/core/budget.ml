@@ -9,7 +9,7 @@ type result = {
   charged : float array;
 }
 
-let solve ?params ~base ~charged ~capacity ~files ~epoch ~budget () =
+let solve ~base ~charged ~capacity ~files ~epoch ~budget () =
   if Array.length charged <> Graph.num_arcs base then
     Error "Budget.solve: charged size mismatch"
   else if budget < 0. || Float.is_nan budget then
@@ -43,7 +43,7 @@ let solve ?params ~base ~charged ~capacity ~files ~epoch ~budget () =
           (x_vars.(a.Graph.id), a.Graph.cost) :: acc)
     in
     ignore (Model.add_constraint model ~name:"budget" budget_terms Model.Le budget);
-    match Lp.Simplex.solve ?params model with
+    match Lp.Simplex.solve model with
     | Lp.Status.Optimal s ->
         let primal = s.Lp.Status.primal in
         let plan = Texp_lp.extract_plan program ~primal in

@@ -6,8 +6,7 @@ type result = {
   total_delivered : float;
 }
 
-let solve ?params ~base ~charged ~capacity ~occupied ~files ~epoch ~paid_only
-    () =
+let solve ~base ~charged ~capacity ~occupied ~files ~epoch ~paid_only () =
   if Array.length charged <> Netgraph.Graph.num_arcs base then
     Error "Bulk.solve: charged size mismatch"
   else begin
@@ -33,7 +32,7 @@ let solve ?params ~base ~charged ~capacity ~occupied ~files ~epoch ~paid_only
         ~flow_obj:(fun ~cost -> -1e-4 *. cost)
         ~supply:(`Elastic supplies)
     in
-    match Lp.Simplex.solve ?params model with
+    match Lp.Simplex.solve model with
     | Lp.Status.Optimal s ->
         let primal = s.Lp.Status.primal in
         let plan = Texp_lp.extract_plan program ~primal in

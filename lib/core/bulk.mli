@@ -22,7 +22,6 @@ type result = {
 }
 
 val solve :
-  ?params:Lp.Simplex.params ->
   base:Netgraph.Graph.t ->
   charged:float array ->
   capacity:(link:int -> layer:int -> float) ->

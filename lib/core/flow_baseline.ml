@@ -162,7 +162,7 @@ let zero_rates inst ~files =
 let free_headroom inst l =
   min inst.cap.(l) (max 0. (inst.charged.(l) -. inst.occ_peak.(l)))
 
-let solve_stage1 ?params inst ~files =
+let solve_stage1 inst ~files =
   let m = Graph.num_arcs inst.base in
   let nfiles = List.length files in
   let usable l = free_headroom inst l > eps_rate in
@@ -185,7 +185,7 @@ let solve_stage1 ?params inst ~files =
       ~supply_rhs:(fun _ ~sign:_ -> 0.);
     add_capacity_rows model ~num_links:m ~usable ~vars
       ~bound:(free_headroom inst);
-    match Lp.Simplex.solve ?params model with
+    match Lp.Simplex.solve model with
     | Lp.Status.Optimal s ->
         let lambda_star = min 1. (max 0. s.Lp.Status.primal.((lambda :> int))) in
         if lambda_star < eps_rate then Some (0., zero_rates inst ~files)
@@ -202,7 +202,7 @@ let solve_stage1 ?params inst ~files =
             ~supply_rhs:(fun k ~sign -> sign *. lambda_star *. rate k);
           add_capacity_rows model2 ~num_links:m ~usable ~vars:vars2
             ~bound:(free_headroom inst);
-          match Lp.Simplex.solve ?params model2 with
+          match Lp.Simplex.solve model2 with
           | Lp.Status.Optimal s2 ->
               Some
                 (lambda_star, extract_rates s2.Lp.Status.primal ~files ~vars:vars2)
@@ -224,7 +224,7 @@ let solve_stage1 ?params inst ~files =
    [`Excess] is the natural strengthening: only volume pushing a link's
    total above the already-charged level costs anything, so stage 2 keeps
    free-riding whatever headroom stage 1 left unused. *)
-let solve_stage2 ?params inst ~files ~lambda ~stage1_rates ~mode =
+let solve_stage2 inst ~files ~lambda ~stage1_rates ~mode =
   let m = Graph.num_arcs inst.base in
   let nfiles = List.length files in
   let stage1_totals = totals_of_rates inst stage1_rates in
@@ -273,7 +273,7 @@ let solve_stage2 ?params inst ~files ~lambda ~stage1_rates ~mode =
     add_capacity_rows model ~num_links:m
       ~usable:(fun l -> usable l && inst.cap.(l) < infinity)
       ~vars ~bound:residual_cap;
-    match Lp.Simplex.solve ?params model with
+    match Lp.Simplex.solve model with
     | Lp.Status.Optimal s -> Some (extract_rates s.Lp.Status.primal ~files ~vars)
     | Lp.Status.Infeasible | Lp.Status.Unbounded | Lp.Status.Iteration_limit ->
         None
@@ -282,30 +282,30 @@ let solve_stage2 ?params inst ~files ~lambda ~stage1_rates ~mode =
 let combine_rates a b =
   Array.mapi (fun k row -> Array.mapi (fun l r -> r +. b.(k).(l)) row) a
 
-let solve_two_stage_mode ?params inst ~files ~mode =
+let solve_two_stage_mode inst ~files ~mode =
   if files = [] then
     Some
       { lambda = 1.;
         rates = [||];
         estimated_cost = estimated_cost inst (totals_of_rates inst [||]) }
   else
-    match solve_stage1 ?params inst ~files with
+    match solve_stage1 inst ~files with
     | None -> None
     | Some (lambda, stage1_rates) -> (
-        match solve_stage2 ?params inst ~files ~lambda ~stage1_rates ~mode with
+        match solve_stage2 inst ~files ~lambda ~stage1_rates ~mode with
         | None -> None
         | Some stage2_rates ->
             let rates = combine_rates stage1_rates stage2_rates in
             let totals = totals_of_rates inst rates in
             Some { lambda; rates; estimated_cost = estimated_cost inst totals })
 
-let solve_two_stage ?params inst ~files =
-  solve_two_stage_mode ?params inst ~files ~mode:`Literal
+let solve_two_stage inst ~files =
+  solve_two_stage_mode inst ~files ~mode:`Literal
 
-let solve_two_stage_excess ?params inst ~files =
-  solve_two_stage_mode ?params inst ~files ~mode:`Excess
+let solve_two_stage_excess inst ~files =
+  solve_two_stage_mode inst ~files ~mode:`Excess
 
-let solve_joint ?params inst ~files =
+let solve_joint inst ~files =
   let m = Graph.num_arcs inst.base in
   let nfiles = List.length files in
   if nfiles = 0 then
@@ -350,7 +350,7 @@ let solve_joint ?params inst ~files =
         ~usable:(fun l -> usable l && inst.cap.(l) < infinity)
         ~vars
         ~bound:(fun l -> inst.cap.(l));
-      match Lp.Simplex.solve ?params model with
+      match Lp.Simplex.solve model with
       | Lp.Status.Optimal s ->
           let rates = extract_rates s.Lp.Status.primal ~files ~vars in
           let totals = totals_of_rates inst rates in
@@ -379,12 +379,12 @@ let plan_of_flows ~files ~epoch flows =
     files;
   { Plan.transmissions = !txs; holdovers = [] }
 
-let make ?params ?(variant = `Two_stage) () =
+let make ?(variant = `Two_stage) () =
   let solve =
     match variant with
-    | `Two_stage -> solve_two_stage ?params
-    | `Two_stage_excess -> solve_two_stage_excess ?params
-    | `Joint -> solve_joint ?params
+    | `Two_stage -> solve_two_stage
+    | `Two_stage_excess -> solve_two_stage_excess
+    | `Joint -> solve_joint
   in
   let name =
     match variant with

@@ -46,17 +46,14 @@ type flows = {
           model's estimate of the resulting cost per interval. *)
 }
 
-val solve_two_stage :
-  ?params:Lp.Simplex.params -> instance -> files:File.t list -> flows option
+val solve_two_stage : instance -> files:File.t list -> flows option
 (** The paper's literal decomposition. [None] when the residual network
     cannot carry every demand. *)
 
-val solve_two_stage_excess :
-  ?params:Lp.Simplex.params -> instance -> files:File.t list -> flows option
+val solve_two_stage_excess : instance -> files:File.t list -> flows option
 (** Two-stage with excess-over-charge costing in stage 2 (ablation). *)
 
-val solve_joint :
-  ?params:Lp.Simplex.params -> instance -> files:File.t list -> flows option
+val solve_joint : instance -> files:File.t list -> flows option
 (** Single-LP exact flow-based optimum (ablation). *)
 
 val plan_of_flows : files:File.t list -> epoch:int -> flows -> Plan.t
@@ -65,10 +62,7 @@ val plan_of_flows : files:File.t list -> epoch:int -> flows -> Plan.t
     same slots). *)
 
 val make :
-  ?params:Lp.Simplex.params ->
-  ?variant:[ `Two_stage | `Two_stage_excess | `Joint ] ->
-  unit ->
-  Scheduler.t
+  ?variant:[ `Two_stage | `Two_stage_excess | `Joint ] -> unit -> Scheduler.t
 (** Scheduler wrapper with highest-rate-first admission control; default
     variant [`Two_stage] (the paper's). Scheduler names: "flow-based",
     "flow-excess", "flow-joint". *)

@@ -64,8 +64,8 @@ let interpret t outcome =
           (Scheduled { plan; objective = !objective; charged },
            { iterations = s.Lp.Status.iterations; stats = s.Lp.Status.stats }))
 
-let solve_with_info ?params t =
+let solve_with_info t =
   interpret t
-    (Obs.Span.with_ "core.solve" (fun () -> Lp.Simplex.solve ?params t.model))
+    (Obs.Span.with_ "core.solve" (fun () -> Lp.Simplex.solve t.model))
 
-let solve ?params t = fst (solve_with_info ?params t)
+let solve t = fst (solve_with_info t)

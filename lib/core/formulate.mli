@@ -55,7 +55,7 @@ val model : t -> Lp.Model.t
 
 val horizon : t -> int
 
-val solve : ?params:Lp.Simplex.params -> t -> result
+val solve : t -> result
 
 type solve_info = {
   iterations : int;  (** Simplex pivots spent ([0] unless [Scheduled]). *)
@@ -65,8 +65,7 @@ type solve_info = {
           unless [Scheduled]. *)
 }
 
-val solve_with_info :
-  ?params:Lp.Simplex.params -> t -> result * solve_info
+val solve_with_info : t -> result * solve_info
 (** Like {!solve}, additionally returning solver diagnostics.
     [solve] is [fun t -> fst (solve_with_info t)]. *)
 

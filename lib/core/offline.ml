@@ -7,7 +7,7 @@ type result = {
   charged : float array;
 }
 
-let solve ?params ~base ~files ?(tie_break = 1e-4) () =
+let solve ~base ~files ?(tie_break = 1e-4) () =
   if files = [] then
     Ok
       { plan = Plan.empty;
@@ -40,7 +40,7 @@ let solve ?params ~base ~files ?(tie_break = 1e-4) () =
         ~charged:(Array.make (Graph.num_arcs base) 0.)
         ~x_obj:(fun ~cost -> cost)
     in
-    match Lp.Simplex.solve ?params model with
+    match Lp.Simplex.solve model with
     | Lp.Status.Optimal s ->
         let primal = s.Lp.Status.primal in
         let plan = Texp_lp.extract_plan program ~primal in

@@ -18,7 +18,6 @@ type result = {
 }
 
 val solve :
-  ?params:Lp.Simplex.params ->
   base:Netgraph.Graph.t ->
   files:File.t list ->
   ?tie_break:float ->

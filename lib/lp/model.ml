@@ -77,10 +77,6 @@ let check_var t v =
 let check_row t r =
   if r < 0 || r >= t.n_rows then invalid_arg "Model: unknown row"
 
-let set_obj t v c =
-  check_var t v;
-  t.vars_obj.(v) <- c
-
 let add_obj t v c =
   check_var t v;
   t.vars_obj.(v) <- t.vars_obj.(v) +. c
@@ -138,8 +134,6 @@ let upper_bound t v = check_var t v; t.vars_ub.(v)
 let obj_coeff t v = check_var t v; t.vars_obj.(v)
 
 let row_terms t r = check_row t r; t.rows.(r).r_terms
-let row_sense t r = check_row t r; t.rows.(r).r_sense
-let row_rhs t r = check_row t r; t.rows.(r).r_rhs
 
 let iter_rows t f =
   for r = 0 to t.n_rows - 1 do
@@ -174,29 +168,3 @@ let constraint_violation t x =
       in
       if viol > !worst then worst := viol);
   !worst
-
-let pp_sense ppf = function
-  | Le -> Format.pp_print_string ppf "<="
-  | Ge -> Format.pp_print_string ppf ">="
-  | Eq -> Format.pp_print_string ppf "="
-
-let pp ppf t =
-  let dir = match t.m_sense with Minimize -> "min" | Maximize -> "max" in
-  Format.fprintf ppf "@[<v>%s: %s" t.m_name dir;
-  for v = 0 to t.n_vars - 1 do
-    if t.vars_obj.(v) <> 0. then
-      Format.fprintf ppf " %+g %s" t.vars_obj.(v) (var_name t v)
-  done;
-  Format.fprintf ppf "@,subject to:";
-  iter_rows t (fun r terms sense rhs ->
-      Format.fprintf ppf "@,  %s:" (row_name t r);
-      List.iter
-        (fun (v, c) -> Format.fprintf ppf " %+g %s" c (var_name t v))
-        terms;
-      Format.fprintf ppf " %a %g" pp_sense sense rhs);
-  Format.fprintf ppf "@,bounds:";
-  for v = 0 to t.n_vars - 1 do
-    Format.fprintf ppf "@,  %g <= %s <= %g" t.vars_lb.(v) (var_name t v)
-      t.vars_ub.(v)
-  done;
-  Format.fprintf ppf "@]"

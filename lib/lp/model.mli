@@ -36,9 +36,6 @@ val add_var :
 val add_vars : t -> int -> ?lb:float -> ?ub:float -> ?obj:float -> unit -> var array
 (** [add_vars t k] adds [k] variables sharing the same bounds/objective. *)
 
-val set_obj : t -> var -> float -> unit
-(** Overwrite a variable's objective coefficient. *)
-
 val add_obj : t -> var -> float -> unit
 (** Accumulate into a variable's objective coefficient. *)
 
@@ -64,8 +61,6 @@ val upper_bound : t -> var -> float
 val obj_coeff : t -> var -> float
 
 val row_terms : t -> row -> (var * float) list
-val row_sense : t -> row -> sense
-val row_rhs : t -> row -> float
 
 val iter_rows : t -> (row -> (var * float) list -> sense -> float -> unit) -> unit
 
@@ -76,6 +71,3 @@ val objective_value : t -> float array -> float
 val constraint_violation : t -> float array -> float
 (** [constraint_violation t x] is the largest absolute violation of any
     constraint or bound at [x]; [0.] means feasible. *)
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable dump of the whole program (for debugging). *)

@@ -19,5 +19,3 @@ val to_file : Model.t -> string -> (unit, string) result
 
 val read : string -> (Model.t, string) result
 (** Parse from text; the error carries a line number. *)
-
-val of_file : string -> (Model.t, string) result

@@ -6,28 +6,28 @@ let log_src = Logs.Src.create "lp.simplex" ~doc:"Revised simplex"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type params = {
-  max_iterations : int;
-  dual_tolerance : float;
-  feasibility_tolerance : float;
-  pivot_tolerance : float;
-  refactor_frequency : int;
-  degenerate_switch : int;
-}
+(* Pivot budget across every phase of a solve, the one terminal bound. *)
+let max_iterations = 200_000
 
-let default_params = {
-  max_iterations = 200_000;
-  dual_tolerance = 1e-7;
-  feasibility_tolerance = 1e-7;
-  pivot_tolerance = 1e-8;
-  refactor_frequency = 32;
-  degenerate_switch = 300;
-}
+(* Reduced-cost optimality tolerance. *)
+let dual_tolerance = 1e-7
+
+(* Bound and row violation tolerance. *)
+let feasibility_tolerance = 1e-7
+
+(* Smallest acceptable pivot magnitude. *)
+let pivot_tolerance = 1e-8
+
+(* Eta updates between refactorizations. *)
+let refactor_frequency = 32
+
+(* Consecutive degenerate pivots before a fresh cost-perturbation round
+   (primal) or giving up (dual). *)
+let degenerate_switch = 300
 
 type vstat = Basic | At_lower | At_upper | At_zero_free
 
 type state = {
-  p : params;
   sf : Standard_form.t;
   m : int;  (* rows *)
   tot : int;  (* structural + slack columns *)
@@ -85,7 +85,6 @@ type state = {
   mutable degenerate_run : int;
   mutable perturbed : bool;
   mutable perturb_rounds : int;
-  mutable bland : bool;
   (* Solve-effort telemetry (never reset between phases; see
      Status.stats). *)
   mutable phase1_pivots : int;
@@ -94,7 +93,6 @@ type state = {
   mutable eta_peak : int;
   mutable bound_flips : int;
   mutable total_perturbations : int;
-  mutable bland_used : bool;
   mutable path : Status.solve_path;
   rng : Prelude.Rng.t;
       (* Seeded per solve: randomized entering choices during stalls are
@@ -297,9 +295,8 @@ let all_rows st =
 let[@inline] infeasibility st i =
   let bv = st.basis.(i) in
   let xv = st.x.(bv) in
-  let feas = st.p.feasibility_tolerance in
-  if xv < st.lb.(bv) -. feas then st.lb.(bv) -. xv
-  else if xv > st.ub.(bv) +. feas then xv -. st.ub.(bv)
+  if xv < st.lb.(bv) -. feasibility_tolerance then st.lb.(bv) -. xv
+  else if xv > st.ub.(bv) +. feasibility_tolerance then xv -. st.ub.(bv)
   else 0.
 
 (* List row [i] if its basic value violates a bound. *)
@@ -354,61 +351,43 @@ let refresh_reduced_costs st =
 let eligible st j d =
   match st.status.(j) with
   | Basic -> false
-  | At_lower -> st.lb.(j) < st.ub.(j) && d < -.st.p.dual_tolerance
-  | At_upper -> st.lb.(j) < st.ub.(j) && d > st.p.dual_tolerance
-  | At_zero_free -> abs_float d > st.p.dual_tolerance
+  | At_lower -> st.lb.(j) < st.ub.(j) && d < -.dual_tolerance
+  | At_upper -> st.lb.(j) < st.ub.(j) && d > dual_tolerance
+  | At_zero_free -> abs_float d > dual_tolerance
 
 type pricing_result = Entering of int * float | Optimal_reached
 
-(* Pricing is a scan of the maintained reduced costs: Devex scores
-   (reduced-cost squared over reference weight) by default, Bland's rule
-   (first eligible index) as the anti-cycling fallback. *)
+(* Pricing is a scan of the maintained reduced costs by Devex score
+   (reduced cost squared over reference weight). *)
 let price_scan st =
-  if st.bland then begin
-    let found = ref Optimal_reached in
-    (try
-       for j = 0 to st.nall - 1 do
-         if st.status.(j) <> Basic then begin
-           let d = st.d.(j) in
-           if eligible st j d then begin
-             found := Entering (j, d);
-             raise Exit
-           end
-         end
-       done
-     with Exit -> ());
-    !found
-  end
-  else begin
-    (* During long degenerate runs, randomize among near-best candidates:
-       deterministic tie-breaking is what lets stalls persist. *)
-    let randomize = st.degenerate_run > st.p.degenerate_switch / 2 in
-    let best = ref (-1) and best_score = ref 0. and best_d = ref 0. in
-    let seen = ref 0 in
-    for j = 0 to st.nall - 1 do
-      if st.status.(j) <> Basic then begin
-        let d = st.d.(j) in
-        if eligible st j d then begin
-          let score = d *. d /. st.devex.(j) in
-          let take =
-            if score > !best_score then true
-            else if randomize && score > 0.2 *. !best_score then begin
-              (* Reservoir-style: replace with decreasing probability. *)
-              incr seen;
-              Prelude.Rng.int st.rng (!seen + 2) = 0
-            end
-            else false
-          in
-          if take then begin
-            best := j;
-            best_score := max !best_score score;
-            best_d := d
+  (* During long degenerate runs, randomize among near-best candidates:
+     deterministic tie-breaking is what lets stalls persist. *)
+  let randomize = st.degenerate_run > degenerate_switch / 2 in
+  let best = ref (-1) and best_score = ref 0. and best_d = ref 0. in
+  let seen = ref 0 in
+  for j = 0 to st.nall - 1 do
+    if st.status.(j) <> Basic then begin
+      let d = st.d.(j) in
+      if eligible st j d then begin
+        let score = d *. d /. st.devex.(j) in
+        let take =
+          if score > !best_score then true
+          else if randomize && score > 0.2 *. !best_score then begin
+            (* Reservoir-style: replace with decreasing probability. *)
+            incr seen;
+            Prelude.Rng.int st.rng (!seen + 2) = 0
           end
+          else false
+        in
+        if take then begin
+          best := j;
+          best_score := max !best_score score;
+          best_d := d
         end
       end
-    done;
-    if !best < 0 then Optimal_reached else Entering (!best, !best_d)
-  end
+    end
+  done;
+  if !best < 0 then Optimal_reached else Entering (!best, !best_d)
 
 let price st =
   let sp = Obs.Span.begin_ "lp.pricing" in
@@ -496,15 +475,15 @@ type ratio_result =
 
 (* Exact limit that basic row [i] puts on a step in direction [dir];
    infinity when none. Inlined, so its float result is never boxed. *)
-let[@inline] row_limit st ~alpha ~dir ~piv_tol ~slack i =
+let[@inline] row_limit st ~alpha ~dir ~slack i =
   let delta = dir *. alpha.(i) in
   let bvar = st.basis.(i) in
-  if delta > piv_tol then begin
+  if delta > pivot_tolerance then begin
     let l = st.lb.(bvar) in
     if l > neg_infinity then (st.x.(bvar) -. l +. slack) /. delta
     else infinity
   end
-  else if delta < -.piv_tol then begin
+  else if delta < -.pivot_tolerance then begin
     let u = st.ub.(bvar) in
     if u < infinity then (u -. st.x.(bvar) +. slack) /. (-.delta)
     else infinity
@@ -517,8 +496,6 @@ let[@inline] row_limit st ~alpha ~dir ~piv_tol ~slack i =
    limit, so they pick what a scan of every row picks. *)
 let ratio_scan st ~dir ~enter =
   let alpha = st.alpha and pat = st.alpha_pat in
-  let feas = st.p.feasibility_tolerance in
-  let piv_tol = st.p.pivot_tolerance in
   let t_bound =
     if st.lb.(enter) > neg_infinity && st.ub.(enter) < infinity then
       st.ub.(enter) -. st.lb.(enter)
@@ -528,29 +505,20 @@ let ratio_scan st ~dir ~enter =
   let t_max = ref t_bound in
   for k = 0 to st.alpha_nnz - 1 do
     let i = pat.(k) in
-    let l = row_limit st ~alpha ~dir ~piv_tol ~slack:feas i in
+    let l = row_limit st ~alpha ~dir ~slack:feasibility_tolerance i in
     if l < !t_max then t_max := l
   done;
   if !t_max = infinity then Ratio_unbounded
   else begin
     (* Pass 2: among rows whose exact limit is within the relaxed step,
-       prefer the largest pivot magnitude (numerical stability). In Bland
-       mode, prefer the smallest basic variable index among exact minima. *)
+       prefer the largest pivot magnitude (numerical stability). *)
     let choice = ref (-1) and choice_limit = ref infinity and choice_abs = ref 0. in
     for k = 0 to st.alpha_nnz - 1 do
       let i = pat.(k) in
-      let l = row_limit st ~alpha ~dir ~piv_tol ~slack:0. i in
+      let l = row_limit st ~alpha ~dir ~slack:0. i in
       if l <= !t_max then begin
         let a = abs_float alpha.(i) in
-        let better =
-          if !choice < 0 then true
-          else if st.bland then
-            l < !choice_limit -. 1e-12
-            || (abs_float (l -. !choice_limit) <= 1e-12
-                && st.basis.(i) < st.basis.(!choice))
-          else a > !choice_abs
-        in
-        if better then begin
+        if !choice < 0 || a > !choice_abs then begin
           choice := i;
           choice_limit := l;
           choice_abs := a
@@ -588,31 +556,22 @@ let apply_step st ~dir ~enter ~t =
     st.x.(enter) <- st.x.(enter) +. (dir *. t)
   end
 
-(* Escalating response to long degenerate (or micro-step) runs: first
-   perturb the costs (cheap, almost always enough), finally fall back to
-   Bland's rule. Steps below the feasibility tolerance make no meaningful
-   progress and count as degenerate. *)
+(* Response to long degenerate (or micro-step) runs: a fresh round of
+   cost perturbation, each round on a different trajectory; the pivot
+   budget is the one terminal bound. Steps below the feasibility
+   tolerance make no meaningful progress and count as degenerate. *)
 let note_degeneracy st t =
-  if t <= st.p.feasibility_tolerance then begin
+  if t <= feasibility_tolerance then begin
     st.degenerate_run <- st.degenerate_run + 1;
-    if st.degenerate_run > st.p.degenerate_switch then begin
+    if st.degenerate_run > degenerate_switch then begin
       st.degenerate_run <- 0;
-      if st.perturb_rounds < 10 then begin
-        Log.debug (fun m ->
-            m "stall at iteration %d: perturbing costs (round %d)"
-              st.iterations (st.perturb_rounds + 1));
-        perturb_costs st;
-        (* A fresh reference framework keeps Devex meaningful on the new
-           cost vector. *)
-        Array.fill st.devex 0 st.nall 1.
-      end
-      else begin
-        Log.debug (fun m ->
-            m "stall persists at iteration %d: switching to Bland's rule"
-              st.iterations);
-        st.bland <- true;
-        st.bland_used <- true
-      end
+      Log.debug (fun m ->
+          m "stall at iteration %d: perturbing costs (round %d)"
+            st.iterations (st.perturb_rounds + 1));
+      perturb_costs st;
+      (* A fresh reference framework keeps Devex meaningful on the new
+         cost vector. *)
+      Array.fill st.devex 0 st.nall 1.
     end
   end
   else st.degenerate_run <- 0
@@ -624,7 +583,7 @@ let run_phase st =
   refresh_reduced_costs st;
   (try
      while true do
-       if st.iterations >= st.p.max_iterations then begin
+       if st.iterations >= max_iterations then begin
          result := Phase_iteration_limit;
          raise Exit
        end;
@@ -634,9 +593,8 @@ let run_phase st =
              for j = 0 to st.nall - 1 do
                obj := !obj +. (st.cost_orig.(j) *. st.x.(j))
              done;
-             m "iteration %d: objective %.6f%s%s" st.iterations !obj
-               (if st.perturbed then " (perturbed)" else "")
-               (if st.bland then " (bland)" else ""));
+             m "iteration %d: objective %.6f%s" st.iterations !obj
+               (if st.perturbed then " (perturbed)" else ""));
        match price st with
        | Optimal_reached ->
            if st.perturbed then begin
@@ -702,7 +660,7 @@ let run_phase st =
                      factorize st;
                      recompute_basics st;
                      refresh_reduced_costs st);
-                if st.n_etas >= st.p.refactor_frequency then begin
+                if st.n_etas >= refactor_frequency then begin
                   factorize st;
                   recompute_basics st;
                   (* Wash out incremental drift in the reduced costs. *)
@@ -718,7 +676,7 @@ let run_phase st =
    columns, and the artificials sit nonbasic at zero; otherwise it is the
    artificial diagonal, signed so that every artificial starts
    non-negative. Either way the initial factorization is of a diagonal. *)
-let initialize ?params:(p = default_params) ~slack sf =
+let initialize ~slack sf =
   let m = sf.Standard_form.n_rows in
   let n = sf.Standard_form.n_struct in
   let tot = Standard_form.total_vars sf in
@@ -766,7 +724,7 @@ let initialize ?params:(p = default_params) ~slack sf =
     done
   end;
   let lu0 = Lu.diagonal (if slack then Array.make m 1. else art_sign) in
-  { p; sf; m; tot; nall; art_sign; lb; ub;
+  { sf; m; tot; nall; art_sign; lb; ub;
     cost = Array.make nall 0.;
     cost_orig = Array.make nall 0.;
     devex = Array.make nall 1.;
@@ -795,22 +753,19 @@ let initialize ?params:(p = default_params) ~slack sf =
     degenerate_run = 0;
     perturbed = false;
     perturb_rounds = 0;
-    bland = false;
     phase1_pivots = 0;
     dual_pivots = 0;
     refactorizations = 0;
     eta_peak = 0;
     bound_flips = 0;
     total_perturbations = 0;
-    bland_used = false;
     path = (if slack then Status.Dual else Status.Two_phase);
     rng = Prelude.Rng.of_int (0x5ca1ab1e + m + tot) }
 
 let phase1_needed st =
-  let tol = st.p.feasibility_tolerance in
   let needs = ref false in
   for i = 0 to st.m - 1 do
-    if st.x.(st.tot + i) > tol then needs := true
+    if st.x.(st.tot + i) > feasibility_tolerance then needs := true
   done;
   !needs
 
@@ -818,8 +773,7 @@ let reset_phase_controls st =
   Array.fill st.devex 0 st.nall 1.;
   st.degenerate_run <- 0;
   st.perturbed <- false;
-  st.perturb_rounds <- 0;
-  st.bland <- false
+  st.perturb_rounds <- 0
 
 let setup_phase1 st =
   Array.fill st.cost 0 st.nall 0.;
@@ -863,7 +817,6 @@ let solve_stats st =
     eta_peak = st.eta_peak;
     bound_flips = st.bound_flips;
     perturbations = st.total_perturbations;
-    bland = st.bland_used;
     path = st.path }
 
 let extract_solution st =
@@ -918,7 +871,7 @@ let extract_solution st =
 (* The flip-or-shift rule over every nonbasic column. Returns true when a
    column flipped, so the caller recomputes the basic values. *)
 let restore_dual_feasibility st =
-  let dtol = st.p.dual_tolerance in
+  let dtol = dual_tolerance in
   let flipped = ref false and shifted = ref 0 in
   let shift j =
     st.cost.(j) <- st.cost.(j) -. st.d.(j);
@@ -981,7 +934,7 @@ let dual_pivot st dw ~r ~enter ~above =
   ftran_column st enter;
   let alpha = st.alpha and pat = st.alpha_pat in
   let alpha_r = alpha.(r) in
-  if abs_float alpha_r <= st.p.pivot_tolerance then raise Numerical_failure;
+  if abs_float alpha_r <= pivot_tolerance then raise Numerical_failure;
   (* Reduced costs: the same rank-one update as a primal pivot, against
      the stored pivot row. The frozen artificials are skipped here as in
      the ratio test; the closing phase 2 rebuilds their reduced costs. *)
@@ -1029,7 +982,7 @@ let dual_pivot st dw ~r ~enter ~above =
        factorize st;
        recompute_basics st;
        refresh_reduced_costs st);
-  if st.n_etas >= st.p.refactor_frequency then begin
+  if st.n_etas >= refactor_frequency then begin
     factorize st;
     recompute_basics st;
     refresh_reduced_costs st
@@ -1078,8 +1031,8 @@ let price_rows st dw =
 (* The dual iteration over a state [install_slack_basis] prepared. Raises
    [Numerical_failure] like the primal loop; the caller falls back. *)
 let run_dual st =
-  let piv_tol = st.p.pivot_tolerance in
-  let dtol = st.p.dual_tolerance in
+  let piv_tol = pivot_tolerance in
+  let dtol = dual_tolerance in
   let dw = Array.make st.m 1. in
   let beta = st.beta in
   let stall = ref 0 in
@@ -1088,7 +1041,7 @@ let run_dual st =
   let result = ref Dual_optimal in
   (try
      while true do
-       if st.iterations >= st.p.max_iterations then begin
+       if st.iterations >= max_iterations then begin
          result := Dual_gave_up "iteration limit";
          raise Exit
        end;
@@ -1193,7 +1146,7 @@ let run_dual st =
          let step = dual_pivot st dw ~r ~enter:!enter ~above in
          if abs_float step <= dtol then begin
            incr stall;
-           if !stall > st.p.degenerate_switch then begin
+           if !stall > degenerate_switch then begin
              result := Dual_gave_up "persistent dual degeneracy";
              raise Exit
            end
@@ -1355,14 +1308,13 @@ let record_solve ~ms ~model st outcome =
         ("eta_peak", Obs.Trace.Int s.Status.eta_peak);
         ("bound_flips", Obs.Trace.Int s.Status.bound_flips);
         ("perturbations", Obs.Trace.Int s.Status.perturbations);
-        ("bland", Obs.Trace.Bool s.Status.bland);
         ("path", Obs.Trace.Str (Status.solve_path_name st.path));
         ("ms", Obs.Trace.Float ms) ]
   end
 
 (* The two-phase primal from the artificial basis. *)
-let two_phase ?params sf =
-  let st = initialize ?params ~slack:false sf in
+let two_phase sf =
+  let st = initialize ~slack:false sf in
   match drive st with
   | outcome -> (outcome, st)
   | exception Numerical_failure -> (Status.Iteration_limit, st)
@@ -1372,13 +1324,13 @@ let two_phase ?params sf =
    stall, the iteration limit, a numerical failure) is solved again by
    the two-phase primal on a fresh state, so the returned state is the
    one that produced the outcome. *)
-let dual_first ?params sf =
+let dual_first sf =
   let fall_back why =
     Log.debug (fun m -> m "dual simplex: %s; solving two-phase" why);
     Obs.Metrics.incr m_warm_fell_back;
-    two_phase ?params sf
+    two_phase sf
   in
-  let st = initialize ?params ~slack:true sf in
+  let st = initialize ~slack:true sf in
   match
     install_slack_basis st;
     drive_dual st
@@ -1407,6 +1359,6 @@ let run_solve solver model =
     outcome
   end
 
-let solve ?params model = run_solve (dual_first ?params) model
+let solve model = run_solve dual_first model
 
-let solve_two_phase ?params model = run_solve (two_phase ?params) model
+let solve_two_phase model = run_solve two_phase model

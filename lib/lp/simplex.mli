@@ -30,40 +30,31 @@
     - phase 1 drives explicit artificial variables (one per row) to zero;
     - pricing is Devex (reference-framework weights), the standard remedy
       for the massive dual degeneracy of network-structured programs;
-    - long runs of degenerate pivots first trigger a deterministic tiny
-      cost perturbation (restored, and optimality re-verified, before a
-      phase concludes), then Bland's rule as the terminal anti-cycling
-      guarantee;
+    - a long run of degenerate pivots triggers a deterministic tiny cost
+      perturbation, a fresh round on each stall, and pricing randomizes
+      among near-best candidates while a run lasts; the true costs are
+      restored, and optimality re-verified, before a phase concludes;
+      the pivot budget (200,000 across every phase) is the one terminal
+      bound;
     - the ratio test is a two-pass test preferring large pivot elements
       among near-tied ratios, and supports bound flips of the entering
       variable.
 
     This solver is exact up to floating-point tolerances for any LP built
     with {!Model}; the test suite cross-checks it against the two-phase
-    referee {!solve_two_phase}, the independent dense implementation in
-    {!Dense_simplex} and combinatorial network-flow algorithms. *)
+    referee {!solve_two_phase}, the independent dense oracles of the test
+    library and combinatorial network-flow algorithms. Its tolerances,
+    pivot budget and refactorization period are constants of the
+    implementation. *)
 
-type params = {
-  max_iterations : int;  (** Pivot budget across both phases. *)
-  dual_tolerance : float;  (** Reduced-cost optimality tolerance. *)
-  feasibility_tolerance : float;  (** Bound/row violation tolerance. *)
-  pivot_tolerance : float;  (** Smallest acceptable pivot magnitude. *)
-  refactor_frequency : int;  (** Eta updates between refactorizations. *)
-  degenerate_switch : int;
-      (** Consecutive degenerate pivots before escalating (perturbation,
-          then Bland's rule). *)
-}
-
-val default_params : params
-
-val solve : ?params:params -> Model.t -> Status.outcome
+val solve : Model.t -> Status.outcome
 (** Solve a model, dual first from the slack basis, falling back to the
     two-phase primal (see above). The returned solution is expressed in
     the model's own variable/row indexing and objective sense; its
     {!Status.stats} name the path that produced it. Nothing is carried
     between solves. *)
 
-val solve_two_phase : ?params:params -> Model.t -> Status.outcome
+val solve_two_phase : Model.t -> Status.outcome
 (** The two-phase primal alone, from the artificial basis: the referee
     that tests and the scale bench compare {!solve} against. Production
     code calls {!solve}. *)

@@ -8,7 +8,6 @@ type stats = {
   eta_peak : int;
   bound_flips : int;
   perturbations : int;
-  bland : bool;
   path : solve_path;
 }
 
@@ -20,7 +19,6 @@ let no_stats = {
   eta_peak = 0;
   bound_flips = 0;
   perturbations = 0;
-  bland = false;
   path = Two_phase;
 }
 
@@ -39,8 +37,6 @@ type outcome =
   | Unbounded
   | Iteration_limit
 
-let is_optimal = function Optimal _ -> true | Infeasible | Unbounded | Iteration_limit -> false
-
 let get_optimal = function
   | Optimal s -> s
   | Infeasible -> failwith "Lp.Status.get_optimal: infeasible"
@@ -48,19 +44,6 @@ let get_optimal = function
   | Iteration_limit -> failwith "Lp.Status.get_optimal: iteration limit"
 
 let solve_path_name = function Dual -> "dual" | Two_phase -> "two_phase"
-
-let pp_solve_path ppf = function
-  | Dual -> Format.pp_print_string ppf "dual from the slack basis"
-  | Two_phase -> Format.pp_print_string ppf "two-phase primal"
-
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "%d+%d+%dd pivots, %d refactorizations, eta peak %d, %d bound flips, %a"
-    s.phase1_pivots s.phase2_pivots s.dual_pivots s.refactorizations s.eta_peak
-    s.bound_flips pp_solve_path s.path;
-  if s.perturbations > 0 then
-    Format.fprintf ppf ", %d perturbation round(s)" s.perturbations;
-  if s.bland then Format.fprintf ppf ", bland"
 
 let pp_outcome ppf = function
   | Optimal s ->

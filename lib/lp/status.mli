@@ -1,5 +1,5 @@
 (** Solver outcome types shared by the revised simplex and the dense
-    oracle. *)
+    oracles of the test library. *)
 
 (** Which algorithm produced a revised-simplex answer (see
     {!Simplex.solve}). *)
@@ -34,7 +34,6 @@ type stats = {
   bound_flips : int;  (** Ratio-test outcomes that flipped the entering variable. *)
   perturbations : int;
       (** Cost-perturbation rounds triggered by degeneracy, both phases. *)
-  bland : bool;  (** Bland's rule (the terminal anti-cycling level) was reached. *)
   path : solve_path;
 }
 
@@ -57,18 +56,12 @@ type outcome =
   | Unbounded
   | Iteration_limit
 
-val is_optimal : outcome -> bool
-
 val get_optimal : outcome -> solution
 (** Raises [Failure] when the outcome is not [Optimal]; convenience for
     callers whose programs are feasible by construction. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 
-val pp_solve_path : Format.formatter -> solve_path -> unit
-
 val solve_path_name : solve_path -> string
 (** Stable machine-readable name: ["dual"] or ["two_phase"], the
     vocabulary used in traces and bench JSON. *)
-
-val pp_stats : Format.formatter -> stats -> unit

@@ -118,8 +118,6 @@ let nrows m = m.nrows
 let ncols m = m.ncols
 let nnz m = m.colptr.(m.ncols)
 
-let col_nnz m j = m.colptr.(j + 1) - m.colptr.(j)
-
 let iter_col m j f =
   if j < 0 || j >= m.ncols then invalid_arg "Csc.iter_col: col out of range";
   for k = m.colptr.(j) to m.colptr.(j + 1) - 1 do
@@ -176,7 +174,7 @@ let transpose m =
 
 let column m j =
   if j < 0 || j >= m.ncols then invalid_arg "Csc.column: col out of range";
-  Array.init (col_nnz m j) (fun k ->
+  Array.init (m.colptr.(j + 1) - m.colptr.(j)) (fun k ->
       let p = m.colptr.(j) + k in
       (m.rowind.(p), m.values.(p)))
 
@@ -276,10 +274,3 @@ let select_columns m cols =
     (fun k j -> iter_col m j (fun row v -> add b ~row ~col:k v))
     cols;
   finalize b
-
-let pp ppf m =
-  Format.fprintf ppf "@[<v>%dx%d, %d nnz" m.nrows m.ncols (nnz m);
-  for j = 0 to m.ncols - 1 do
-    iter_col m j (fun i v -> Format.fprintf ppf "@,(%d,%d) = %g" i j v)
-  done;
-  Format.fprintf ppf "@]"

@@ -61,8 +61,6 @@ val transpose : t -> t
     result is row [i] of [m], with its entries in ascending column order
     and its values copied exactly. O(nnz + nrows + ncols). *)
 
-val col_nnz : t -> int -> int
-
 val get : t -> int -> int -> float
 (** [get m i j] is the [(i, j)] coefficient ([0.] when structurally zero).
     Logarithmic in the column size. *)
@@ -107,5 +105,3 @@ val of_dense : float array array -> t
 val select_columns : t -> int array -> t
 (** [select_columns m cols] is the matrix whose [k]-th column is column
     [cols.(k)] of [m]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -286,7 +286,7 @@ let record_factorization f =
         (float_of_int stored /. float_of_int f.input_nnz)
   end
 
-let factorize_iter ?col_order ~dim:n iter_col =
+let factorize_iter ~dim:n iter_col =
   let sp = Obs.Span.begin_ "lu.factorize" in
   (* Static row nonzero counts of the input matrix (the Markowitz fill-in
      proxy used by the pivot selection below) and column counts (the
@@ -302,13 +302,7 @@ let factorize_iter ?col_order ~dim:n iter_col =
     iter_col j count;
     col_counts.(j) <- !input_nnz - before
   done;
-  let q = match col_order with
-    | Some order ->
-        if Array.length order <> n then
-          invalid_arg "Lu.factorize: col_order length mismatch";
-        order
-    | None -> order_by_count ~dim:n col_counts
-  in
+  let q = order_by_count ~dim:n col_counts in
   (* Simplex bases are near-triangular: L and U together hold about the
      input's off-diagonal entries, so each starts with that room. *)
   let cap = !input_nnz - n in
@@ -348,8 +342,8 @@ let factorize_iter ?col_order ~dim:n iter_col =
     Obs.Span.end_ sp;
     Error (Singular k)
 
-let factorize ?col_order ~dim col =
-  factorize_iter ?col_order ~dim (fun j f ->
+let factorize ~dim col =
+  factorize_iter ~dim (fun j f ->
       Array.iter (fun (r, v) -> f r v) (col j))
 
 let diagonal d =

@@ -6,9 +6,9 @@
     permutation chosen by Markowitz-ordered threshold pivoting (among rows
     whose magnitude is within a fixed factor of the column maximum, the one
     with the fewest input-matrix nonzeros — a static fill-in proxy — wins,
-    with deterministic tie-breaks), [Q] is a caller supplied (or
-    nnz-ascending) column ordering, [L] is unit lower triangular and [U] is
-    upper triangular. *)
+    with deterministic tie-breaks), [Q] orders the columns by increasing
+    nonzero count, [L] is unit lower triangular and [U] is upper
+    triangular. *)
 
 type t
 
@@ -18,19 +18,15 @@ type error =
           [k]-th column of the ordered matrix. *)
 
 val factorize :
-  ?col_order:int array -> dim:int -> (int -> (int * float) array) -> (t, error) result
+  dim:int -> (int -> (int * float) array) -> (t, error) result
 (** [factorize ~dim col] factorizes the [dim] x [dim] matrix whose [j]-th
     column is [col j], given as (row, value) pairs with distinct rows.
-    [col_order], when given, is the permutation [Q] (its [k]-th entry is the
-    original column eliminated at step [k]); otherwise columns are ordered by
-    increasing nonzero count, a cheap fill-reducing heuristic that suits
-    near-triangular simplex bases. *)
+    Columns are eliminated in order of increasing nonzero count (ties by
+    index), a cheap fill-reducing heuristic that suits near-triangular
+    simplex bases. *)
 
 val factorize_iter :
-  ?col_order:int array ->
-  dim:int ->
-  (int -> (int -> float -> unit) -> unit) ->
-  (t, error) result
+  dim:int -> (int -> (int -> float -> unit) -> unit) -> (t, error) result
 (** [factorize_iter ~dim iter_col] is {!factorize} with the matrix supplied
     as an iterator: [iter_col j f] must call [f row value] for every nonzero
     of column [j] (distinct rows, any order). This is the allocation-free

@@ -7,7 +7,9 @@
 # additionally checks the emitted JSON (every slot on the dual path, zero
 # phase-1 pivots, a zero objective gap over refereed slots, no dual
 # failures, and the point's pinned pivot counts: 3691 dual first and
-# 20754 for the referee, with no slot cut by the budget) and
+# 20754 for the referee, with no slot cut by the budget), pins the
+# first slot of 32 DCs x 72 slots (the referee solves it in 16292
+# pivots against 1143 dual first, with a zero objective gap) and
 # cross-checks a traced simulation run through
 # trace-summary (strict validation + per-slot reconciliation), demanding
 # that the trace, too, records every solve on the dual path.
@@ -21,7 +23,7 @@ trap cleanup EXIT
 "$bench" --scale-only --scale-sizes 12x24 --scale-budget-ms 10000 \
   --json-scale "$dir/scale.json" >"$dir/scale.out"
 
-field() { sed -n "s/.*\"$1\": \([0-9][0-9]*\).*/\1/p" "$dir/scale.json"; }
+field() { sed -n "s/.*\"$1\": \([0-9][0-9]*\).*/\1/p" "${2:-$dir/scale.json}"; }
 dual_slots=$(field dual_slots)
 dual_solves=$(field dual_solves)
 referee_slots=$(field referee_slots)
@@ -37,7 +39,7 @@ if ! grep -q '"dual_phase1_pivots": 0,' "$dir/scale.json"; then
   exit 1
 fi
 if [ -z "$referee_slots" ] || [ "$referee_slots" -eq 0 ] \
-  || ! grep -q '"max_objective_gap": 0' "$dir/scale.json"; then
+  || ! grep -q '"max_objective_gap": 0.0}' "$dir/scale.json"; then
   echo "scale smoke: dual first and the referee disagree on the objective" >&2
   cat "$dir/scale.json" >&2
   exit 1
@@ -57,6 +59,24 @@ if ! grep -q '"truncated": false,' "$dir/scale.json" \
   echo "scale smoke: 12x24 no longer runs all slots in 3691 dual-first" \
     "and 20754 referee pivots" >&2
   cat "$dir/scale.json" >&2
+  exit 1
+fi
+
+# One slot of 32x72: a 1-ms budget stops each curve after its first
+# solve. A phase of the two-phase referee stalls more than ten times on
+# this program, so the point pins that every stall takes a fresh
+# cost-perturbation round until the optimum.
+s32="$dir/scale32.json"
+"$bench" --scale-only --scale-sizes 32x72 --scale-budget-ms 1 \
+  --json-scale "$s32" >"$dir/scale32.out"
+if [ "$(field referee_slots "$s32")" != 1 ] \
+  || [ "$(field referee_failures "$s32")" != 0 ] \
+  || ! grep -q '"max_objective_gap": 0.0}' "$s32" \
+  || [ "$(field dual_iterations "$s32")" != 1143 ] \
+  || [ "$(field referee_iterations "$s32")" != 16292 ]; then
+  echo "scale smoke: the referee no longer solves the first 32x72 slot" \
+    "in 16292 pivots (1143 dual first) with a zero objective gap" >&2
+  cat "$s32" >&2
   exit 1
 fi
 

@@ -1,4 +1,4 @@
-module Dense = Sparselin.Dense
+module Dense = Oracle.Dense
 
 let farr = Alcotest.(array (float 1e-9))
 

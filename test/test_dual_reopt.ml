@@ -189,7 +189,7 @@ let test_cost_shift_at_install () =
   ignore (Model.add_constraint m [ (z, 1.); (x, -1.) ] Model.Eq 0.);
   let outcome, log = simplex_debug_log (fun () -> Lp.Simplex.solve m) in
   let s = get_opt outcome in
-  let oracle = get_opt (Lp.Dense_simplex.solve m) in
+  let oracle = get_opt (Oracle.Dense_simplex.solve m) in
   Alcotest.(check (float 1e-9)) "dense oracle's objective"
     oracle.Status.objective s.Status.objective;
   Alcotest.(check (float 1e-9)) "known optimum" 7. s.Status.objective;
@@ -212,7 +212,7 @@ let test_unbounded_from_slack_basis () =
   let outcome, solves = traced_solves (fun () -> Lp.Simplex.solve m) in
   Alcotest.(check bool) "unbounded, as the dense oracle says" true
     (outcome = Status.Unbounded
-    && Lp.Dense_simplex.solve m = Status.Unbounded);
+    && Oracle.Dense_simplex.solve m = Status.Unbounded);
   match solves with
   | [ ev ] ->
       Alcotest.(check (option string)) "verdict from the dual path"

@@ -1,5 +1,5 @@
 module Eta = Sparselin.Eta
-module Dense = Sparselin.Dense
+module Dense = Oracle.Dense
 
 (* Dense reference: the eta matrix E is the identity with column [pos]
    replaced by [alpha]. apply_ftran must compute E^-1 x and apply_btran

